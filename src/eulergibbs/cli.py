@@ -87,7 +87,9 @@ def _float_value(text: str) -> float:
         raise ConfigError(f"not a number: {text!r}") from exc
 
 
-def _number(minimum: float | None = None, exclusive: bool = False) -> Callable[[str], float]:
+def _number(
+    minimum: float | None = None, exclusive: bool = False, below: float | None = None
+) -> Callable[[str], float]:
     def convert(text: str) -> float:
         value = _float_value(text)
         if minimum is not None:
@@ -95,6 +97,8 @@ def _number(minimum: float | None = None, exclusive: bool = False) -> Callable[[
                 raise ConfigError(f"must be > {minimum}, got {value}")
             if not exclusive and not value >= minimum:
                 raise ConfigError(f"must be >= {minimum}, got {value}")
+        if below is not None and not value < below:
+            raise ConfigError(f"must be < {below}, got {value}")
         return value
 
     return convert
@@ -260,7 +264,7 @@ CONFIG_SCHEMAS: dict[str, dict[str, Option]] = {
     },
     "cauchy": {
         "gamma": _GIBBS_KEYS["gamma"],
-        "order": Option(_number(), -1.5, "Sobolev order of the local metric"),
+        "order": Option(_number(below=1.0), -1.5, "Sobolev order of the local metric (< 1)"),
         "levels": Option(_integer_list(1), (2, 3, 4), "dyadic levels n to compare"),
         "ensemble": Option(_integer(2), 500, "coupled pairs per level"),
         "modes_per_unit": Option(_integer(1), 1, "resolved modes per unit length"),

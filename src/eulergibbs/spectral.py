@@ -43,11 +43,6 @@ def is_positive(k: Sequence[int]) -> bool:
     return k1 > 0 or (k1 == 0 and k2 > 0)
 
 
-def perp(k: Sequence[int]) -> Mode:
-    """Rotate an index by 90 degrees: k^perp = (-k2, k1)."""
-    return (-int(k[1]), int(k[0]))
-
-
 def _check_cutoff(cutoff: Sequence[int]) -> Mode:
     try:
         n1, n2 = int(cutoff[0]), int(cutoff[1])
@@ -256,27 +251,6 @@ def enstrophy(f: SpectralField) -> float:
     return _weighted_power(f, 2.0)
 
 
-def full_coefficient_grid(f: SpectralField, order: float = 0.0) -> np.ndarray:
-    """Conjugate-completed coefficient grid of shape (2 N1 + 1, 2 N2 + 1).
-
-    Entry [k1 + N1, k2 + N2] holds the coefficient of mode (k1, k2); the zero
-    mode is 0. With order != 0 every coefficient is multiplied by the symbol
-    (2 pi |k| / period)^order, i.e. the grid represents |D|^order f.
-    """
-    n1, n2 = f.cutoff
-    grid = np.zeros((2 * n1 + 1, 2 * n2 + 1), dtype=np.complex128)
-    k1, k2 = mode_arrays(f.cutoff)
-    grid[k1 + n1, k2 + n2] = f.coeffs
-    grid[n1 - k1, n2 - k2] = np.conj(f.coeffs)
-    if order != 0.0:
-        m1 = np.arange(-n1, n1 + 1, dtype=np.float64)[:, None]
-        m2 = np.arange(-n2, n2 + 1, dtype=np.float64)[None, :]
-        symbol_sq = (TWO_PI / f.period) ** 2 * (m1 * m1 + m2 * m2)
-        symbol_sq[n1, n2] = 1.0  # zero mode carries a zero coefficient anyway
-        grid *= symbol_sq ** (0.5 * order)
-    return grid
-
-
 def evaluate(f: SpectralField, x) -> float | np.ndarray:
     """Evaluate the real field at a point (2,) or at an array of points (P, 2)."""
     points = np.asarray(x, dtype=np.float64)
@@ -293,6 +267,52 @@ def evaluate(f: SpectralField, x) -> float | np.ndarray:
     return float(values[0]) if single else values
 
 
+@dataclass(frozen=True)
+class _GridEvaluator:
+    """|D|^order of a field on a fixed tensor grid x1 x x2, as two BLAS products.
+
+    The field is (2/L) Re sum_{k > 0} s_k phi_k exp(i 2 pi k.x / L) with the
+    symbol s_k = (2 pi |k| / L)^order. Scattering the weighted coefficients
+    into the half-lattice array H[k1, k2 + N2] (k1 = 0..N1, k2 = -N2..N2)
+    factors it as Re(E1 H E2) with E1[i, k1] = exp(i 2 pi k1 x1_i / L) and
+    E2[k2 + N2, j] = exp(i 2 pi k2 x2_j / L). With Q = H @ E2,
+
+        profile = Re(E1) @ Re(Q) - Im(E1) @ Im(Q) = [Re E1 | -Im E1] @ [Re Q; Im Q],
+
+    one complex and one real matrix product. Each call is a fixed-shape pair
+    of gemms on one field: no inner (K) sum depends on how callers batch
+    fields or on how many threads run, so the result is bitwise reproducible.
+    """
+
+    rows: np.ndarray  # k1 of each box mode
+    cols: np.ndarray  # k2 + N2 of each box mode
+    weights: np.ndarray  # (2/L) s_k per box mode
+    e1: np.ndarray  # [Re E1 | -Im E1], shape (len(x1), 2 (N1 + 1))
+    e2: np.ndarray  # E2, complex, shape (2 N2 + 1, len(x2))
+
+    def __call__(self, coeffs: np.ndarray) -> np.ndarray:
+        half = np.zeros((self.e1.shape[1] // 2, self.e2.shape[0]), dtype=np.complex128)
+        half[self.rows, self.cols] = coeffs * self.weights
+        partial = half @ self.e2
+        return self.e1 @ np.concatenate((partial.real, partial.imag))
+
+
+def _grid_evaluator(
+    period: float, cutoff: Mode, order: float, x1: np.ndarray, x2: np.ndarray
+) -> _GridEvaluator:
+    n1, n2 = cutoff
+    theta = TWO_PI / period
+    e1 = np.exp(1j * theta * np.outer(x1, np.arange(n1 + 1, dtype=np.float64)))
+    e2 = np.exp(1j * theta * np.outer(np.arange(-n2, n2 + 1, dtype=np.float64), x2))
+    k1, k2 = mode_arrays(cutoff)
+    # (2 pi |k| / L)^order is the order / 2 power of the squared symbol
+    weights = (2.0 / period) * _sobolev_weights(period, cutoff, 0.5 * order)
+    arrays = (k1, k2 + n2, weights, np.concatenate((e1.real, -e1.imag), axis=1), e2)
+    for array in arrays:
+        array.flags.writeable = False
+    return _GridEvaluator(*arrays)
+
+
 def evaluate_grid(
     f: SpectralField,
     x1,
@@ -301,28 +321,30 @@ def evaluate_grid(
 ) -> np.ndarray:
     """Evaluate |D|^order f on the tensor grid x1 x x2, returning shape (len(x1), len(x2)).
 
-    Separable contraction over the conjugate-completed coefficient grid; used
-    by the windowed metric and by quadrature cross-checks. The contraction is
-    performed with fixed-order einsum so results do not depend on BLAS
+    The same half-lattice contraction as the windowed metric (one complex and
+    one real matrix product, see _GridEvaluator), with evaluation matrices
+    built for the given points and not cached. The products are fixed-shape
+    BLAS calls on this one field, so the result does not depend on BLAS
     threading.
     """
     x1 = np.asarray(x1, dtype=np.float64)
     x2 = np.asarray(x2, dtype=np.float64)
-    n1, n2 = f.cutoff
-    grid = full_coefficient_grid(f, order=order)
-    m1 = np.arange(-n1, n1 + 1, dtype=np.float64)
-    m2 = np.arange(-n2, n2 + 1, dtype=np.float64)
-    e1 = np.exp((2j * math.pi / f.period) * np.outer(m1, x1))
-    e2 = np.exp((2j * math.pi / f.period) * np.outer(m2, x2))
-    partial = np.einsum("ai,ab->ib", e1, grid, optimize=False)
-    values = np.einsum("ib,bj->ij", partial, e2, optimize=False)
-    return values.real / f.period
+    return _grid_evaluator(f.period, f.cutoff, float(order), x1, x2)(f.coeffs)
 
 
 def _quadrature_points(level_max: int, points_per_unit: int) -> np.ndarray:
     """Midpoints of a uniform grid with points_per_unit cells per unit length on [0, level_max]."""
     count = level_max * points_per_unit
     return (np.arange(count, dtype=np.float64) + 0.5) / points_per_unit
+
+
+@lru_cache(maxsize=32)
+def _metric_plan(
+    period: float, cutoff: Mode, order: float, level_max: int, points_per_unit: int
+) -> _GridEvaluator:
+    """The read-only evaluator of |D|^order on the metric's midpoint grid over [0, level_max]^2."""
+    points = _quadrature_points(level_max, points_per_unit)
+    return _grid_evaluator(period, cutoff, order, points, points)
 
 
 def _check_metric_args(order: float, level_max: int, points_per_unit: int) -> tuple[int, int]:
@@ -336,14 +358,22 @@ def _check_metric_args(order: float, level_max: int, points_per_unit: int) -> tu
     return level_max, points_per_unit
 
 
-def _windowed_sum(profile: np.ndarray, level_max: int, points_per_unit: int) -> float:
-    """Fold a squared-profile grid into sum_l 2^-l x_l / (1 + x_l) over nested windows [0, l]^2."""
-    squares = profile * profile
-    running = squares.cumsum(axis=0).cumsum(axis=1)
+def _window_norms(profile: np.ndarray, level_max: int, points_per_unit: int) -> np.ndarray:
+    """Midpoint-rule norms x_l = (integral over [0, l]^2 of profile^2)^(1/2), l = 1..level_max.
+
+    The squared profile is summed once per unit cell; the nested windows are
+    read from the 2-D cumulative sum of that level_max x level_max table.
+    """
+    blocks = profile.reshape(level_max, points_per_unit, level_max, points_per_unit)
+    cells = np.einsum("aibj,aibj->ab", blocks, blocks)
+    running = cells.cumsum(axis=0).cumsum(axis=1)
+    return np.sqrt(np.diagonal(running)) / points_per_unit
+
+
+def _fold(norms: np.ndarray) -> float:
+    """sum_l 2^-l x_l / (1 + x_l) over the window norms x_1, x_2, ..."""
     total = 0.0
-    for level in range(1, level_max + 1):
-        edge = level * points_per_unit - 1
-        x = math.sqrt(running[edge, edge]) / points_per_unit
+    for level, x in enumerate(norms.tolist(), start=1):
         total += 0.5**level * x / (1.0 + x)
     return total
 
@@ -362,7 +392,14 @@ def local_distance(
     Each term is capped below 1 so the metric is bounded by 1 regardless of
     level_max. Both fields must share one period (windows of a fixed physical
     size only compare meaningfully on a common torus); fields on different
-    periods go through cross_period_distance instead.
+    periods go through cross_period_distance instead or, when one period is
+    an integer multiple of the other, are first embedded exactly onto the
+    larger torus (as cauchy_scan does).
+
+    The profile of f - g is one evaluation with the cached plan of
+    (period, cutoff, order, level_max, points_per_unit): fixed-shape BLAS
+    products on this one pair, so a pair's distance is bitwise the same
+    whether it is computed alone, inside a block, or on any thread.
     """
     level_max, points_per_unit = _check_metric_args(order, level_max, points_per_unit)
     if f.period != g.period:
@@ -373,10 +410,9 @@ def local_distance(
         common = (max(f.cutoff[0], g.cutoff[0]), max(f.cutoff[1], g.cutoff[1]))
         f = _embed(f, common)
         g = _embed(g, common)
-    diff = f.with_coeffs(f.coeffs - g.coeffs)
-    points = _quadrature_points(level_max, points_per_unit)
-    profile = evaluate_grid(diff, points, points, order=float(order))
-    return _windowed_sum(profile, level_max, points_per_unit)
+    plan = _metric_plan(f.period, f.cutoff, float(order), level_max, points_per_unit)
+    profile = plan(f.coeffs - g.coeffs)
+    return _fold(_window_norms(profile, level_max, points_per_unit))
 
 
 def cross_period_distance(
@@ -390,26 +426,41 @@ def cross_period_distance(
 
     Each field is evaluated (with its own derivative symbol) on the shared
     observation window [0, level_max]^2 and the profiles are differenced
-    pointwise. For equal periods this agrees with local_distance up to
-    rounding in the two evaluations.
+    pointwise. For equal periods, or for a coarse field embedded exactly onto
+    the finer torus, this agrees with local_distance up to rounding in the
+    two evaluations.
     """
     level_max, points_per_unit = _check_metric_args(order, level_max, points_per_unit)
-    points = _quadrature_points(level_max, points_per_unit)
-    profile = evaluate_grid(f, points, points, order=float(order)) - evaluate_grid(
-        g, points, points, order=float(order)
-    )
-    return _windowed_sum(profile, level_max, points_per_unit)
+
+    def profile(h: SpectralField) -> np.ndarray:
+        return _metric_plan(h.period, h.cutoff, float(order), level_max, points_per_unit)(h.coeffs)
+
+    return _fold(_window_norms(profile(f) - profile(g), level_max, points_per_unit))
 
 
-def _embed(f: SpectralField, cutoff: Mode) -> SpectralField:
-    """Re-index a field into a containing box, zero-filling the new modes."""
-    if f.cutoff == cutoff:
+def _embed(f: SpectralField, cutoff: Sequence[int], ratio: int = 1) -> SpectralField:
+    """The same function on the torus of side ratio * period, in the box cutoff.
+
+    Mode k on period L becomes mode ratio * k on period ratio * L: the same
+    frequency and the same derivative symbol. Since e_k carries 1/L, the
+    coefficient is multiplied by ratio (exactly, for power-of-two ratios).
+    The other modes of the new box are zero.
+    """
+    ratio = int(ratio)
+    if ratio < 1:
+        raise ValueError(f"period ratio must be a positive integer, got {ratio}")
+    cutoff = _check_cutoff(cutoff)
+    if ratio == 1 and f.cutoff == cutoff:
         return f
-    n1, n2 = cutoff
-    if f.cutoff[0] > n1 or f.cutoff[1] > n2:
-        raise ValueError(f"cannot embed cutoff {f.cutoff} into smaller box {cutoff}")
+    if ratio * f.cutoff[0] > cutoff[0] or ratio * f.cutoff[1] > cutoff[1]:
+        raise ValueError(
+            f"cannot embed cutoff {f.cutoff} at period ratio {ratio} into box {cutoff}"
+        )
+    k1, k2 = mode_arrays(f.cutoff)
+    m1, m2 = ratio * k1, ratio * k2
+    n2 = cutoff[1]
+    # lexicographic slot in mode_box(cutoff): (0, 1..N2) first, then rows of 2 N2 + 1
+    slots = np.where(m1 == 0, m2 - 1, n2 + (m1 - 1) * (2 * n2 + 1) + m2 + n2)
     coeffs = np.zeros(mode_count(cutoff), dtype=np.complex128)
-    index = mode_index(cutoff)
-    for k, c in zip(mode_box(f.cutoff), f.coeffs):
-        coeffs[index[k]] = c
-    return SpectralField(f.period, cutoff, coeffs)
+    coeffs[slots] = f.coeffs * ratio
+    return SpectralField(f.period * ratio, cutoff, coeffs)

@@ -91,6 +91,16 @@ class TestConfigGrammar:
             main(["sample", "--seed", "1", "--out", out, "--threads", "0"]) == EXIT_CONFIG
         )
 
+    def test_cauchy_order_not_below_one_is_a_config_error(self, tmp_path, capsys):
+        # the scan's local metric needs order < 1; the schema rejects the rest
+        for order in ("1", "2", "nan"):
+            out = tmp_path / f"out-{order}"
+            code = main(["cauchy", "--seed", "1", "--out", str(out), "--set", f"order={order}"])
+            assert code == EXIT_CONFIG
+            assert "'order'" in capsys.readouterr().err
+            assert not (out / "summary.csv").exists()
+        assert resolve_config("cauchy", None, ["order=0.5"])["order"] == 0.5
+
     def test_missing_required_flags_exit_nonzero(self):
         assert main(["sample"]) != EXIT_PASS
 

@@ -14,11 +14,12 @@ from scipy.stats import ks_2samp, kstest
 
 from eulergibbs.drift import TRIAD_SUM
 from eulergibbs.flow import IntegrationError, IntegratorConfig
-from eulergibbs.gibbs import GibbsParams, RngStream
+from eulergibbs.gibbs import GibbsParams, RngStream, coupled_dyadic_matrices
 from eulergibbs.harness import (
     ObservableSpec,
     _child,
     _perturbation_direction,
+    _threaded_blocks,
     cauchy_scan,
     chi_square_uniform,
     continuity_probe,
@@ -32,8 +33,11 @@ from eulergibbs.harness import (
 )
 from eulergibbs.spectral import (
     SpectralField,
+    _embed,
+    cross_period_distance,
     energy,
     enstrophy,
+    local_distance,
     mode_box,
     mode_count,
     sobolev_norm,
@@ -471,6 +475,41 @@ class TestCauchyScan:
         pooled = cauchy_scan(*args, threads=3, **kwargs)
         assert json.dumps(lone.to_dict()) == json.dumps(pooled.to_dict())
 
+    def test_default_quadrature_identical_across_threads(self):
+        # level_max = 4, points_per_unit = 64: the quadrature the CLI runs
+        args = ([1, 2, 3], -1.5, 6, RngStream(14, 4))
+        dumps = {json.dumps(cauchy_scan(*args, threads=t).to_dict()) for t in (1, 2, 3)}
+        assert len(dumps) == 1
+
+    @staticmethod
+    def coupled_pairs(n: int, count: int) -> list[tuple[SpectralField, SpectralField]]:
+        base = GibbsParams(1.0, 2.0**n, (2**n, 2**n))
+        coarse, fine, fine_params = coupled_dyadic_matrices(n, n + 1, base, RngStream(15, 4), count)
+        return [
+            (
+                SpectralField(base.period, base.cutoff, c),
+                SpectralField(fine_params.period, fine_params.cutoff, f),
+            )
+            for c, f in zip(coarse, fine)
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_embedded_pair_agrees_with_cross_period_reference(self, n):
+        for coarse, fine in self.coupled_pairs(n, 4):
+            reference = cross_period_distance(coarse, fine, -1.5, 4)
+            embedded = local_distance(_embed(coarse, fine.cutoff, ratio=2), fine, -1.5, 4)
+            assert embedded == pytest.approx(reference, rel=1e-12)
+
+    def test_pair_distance_same_alone_or_in_block(self):
+        pairs = [(_embed(c, f.cutoff, ratio=2), f) for c, f in self.coupled_pairs(2, 9)]
+        alone = np.array([local_distance(f, g, -1.5, 4) for f, g in reversed(pairs)])[::-1]
+
+        def block(index: np.ndarray) -> np.ndarray:
+            return np.array([local_distance(*pairs[i], -1.5, 4) for i in index])
+
+        pooled = _threaded_blocks(block, np.arange(len(pairs)), 3)
+        assert np.array_equal(alone, pooled)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="order"):
             cauchy_scan([1, 2], 1.5, 6, RngStream(1))
@@ -533,6 +572,12 @@ class TestContinuityProbe:
         lone = continuity_probe(*args, threads=1, **kwargs)
         pooled = continuity_probe(*args, threads=3, **kwargs)
         assert json.dumps(lone.to_dict()) == json.dumps(pooled.to_dict())
+
+    def test_default_quadrature_identical_across_threads(self):
+        cfg = IntegratorConfig(scheme="rk4", dt=0.05, t_final=0.05)
+        args = (self.params(), cfg, [1e-2, 1e-1], 6, RngStream(24, 6))
+        dumps = {json.dumps(continuity_probe(*args, threads=t).to_dict()) for t in (1, 2, 3)}
+        assert len(dumps) == 1
 
     def test_validation(self):
         cfg = IntegratorConfig(t_final=0.1)

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from eulergibbs.spectral import (
     SpectralField,
+    _embed,
+    _metric_plan,
+    _window_norms,
     cross_period_distance,
     energy,
     enstrophy,
@@ -19,6 +22,7 @@ from eulergibbs.spectral import (
     local_distance,
     mode_box,
     mode_count,
+    mode_index,
     sobolev_norm,
 )
 
@@ -262,6 +266,123 @@ class TestLocalDistance:
             local_distance(f, f, 0.0, 0)
         with pytest.raises(ValueError):
             local_distance(f, f, 0.0, 4, points_per_unit=0)
+
+
+def _embed_reference(f: SpectralField, cutoff, ratio: int) -> SpectralField:
+    """Mode-by-mode loop: mode k of period L to mode ratio * k of period ratio * L."""
+    index = mode_index(tuple(cutoff))
+    coeffs = np.zeros(mode_count(cutoff), dtype=np.complex128)
+    for (k1, k2), c in zip(mode_box(f.cutoff), f.coeffs):
+        coeffs[index[(ratio * k1, ratio * k2)]] = ratio * c
+    return SpectralField(ratio * f.period, tuple(cutoff), coeffs)
+
+
+class TestEmbed:
+    @pytest.mark.parametrize(
+        "cutoff, target, ratio",
+        [((2, 3), (2, 3), 1), ((2, 2), (3, 5), 1), ((2, 3), (4, 6), 2), ((1, 2), (4, 7), 3)],
+    )
+    def test_matches_mode_loop_bitwise(self, rng, cutoff, target, ratio):
+        f = random_field(rng, 3.0, cutoff)
+        embedded = _embed(f, target, ratio=ratio)
+        assert embedded == _embed_reference(f, target, ratio)
+
+    def test_same_function_on_the_larger_torus(self, rng):
+        f = random_field(rng, 4.0, (2, 3))
+        g = _embed(f, (5, 6), ratio=2)
+        assert g.period == 8.0
+        points = rng.uniform(-3.0, 9.0, size=(11, 2))
+        np.testing.assert_allclose(evaluate(g, points), evaluate(f, points), rtol=1e-12, atol=1e-14)
+        for order in (-1.5, 0.0, 1.0):
+            assert cross_period_distance(f, g, order, 3) == pytest.approx(0.0, abs=1e-12)
+
+    def test_rejects_small_box_and_bad_ratio(self, rng):
+        f = random_field(rng, 4.0, (2, 2))
+        with pytest.raises(ValueError, match="cannot embed"):
+            _embed(f, (3, 4), ratio=2)
+        with pytest.raises(ValueError, match="cannot embed"):
+            _embed(f, (1, 2))
+        with pytest.raises(ValueError, match="ratio"):
+            _embed(f, (4, 4), ratio=0)
+
+
+def _exact_window_integral(f: SpectralField, order: float, edge: float) -> float:
+    """integral over [0, edge]^2 of |D^order f|^2 from closed-form 1-D Gram integrals.
+
+    With the conjugate-completed coefficients A_k = s_k phi_k (s_k the symbol),
+    |D^order f|^2 = L^-2 sum_{k, k'} A_k conj(A_k') e^{i theta (k - k').x} and
+    integral_0^edge e^{i theta nu x} dx = (e^{i theta nu edge} - 1) / (i theta nu),
+    or edge for nu = 0, where theta = 2 pi / L.
+    """
+    theta = TWO_PI / f.period
+    modes = np.array(mode_box(f.cutoff), dtype=np.float64)
+    symbol = (theta * np.hypot(modes[:, 0], modes[:, 1])) ** order
+    amplitudes = np.concatenate((symbol * f.coeffs, symbol * np.conj(f.coeffs)))
+    full = np.concatenate((modes, -modes))
+
+    def gram(k: np.ndarray) -> np.ndarray:
+        nu = k[:, None] - k[None, :]
+        safe = np.where(nu == 0.0, 1.0, nu)
+        return np.where(
+            nu == 0.0, edge, (np.exp(1j * theta * safe * edge) - 1.0) / (1j * theta * safe)
+        )
+
+    kernel = gram(full[:, 0]) * gram(full[:, 1])
+    return float((amplitudes @ kernel @ np.conj(amplitudes)).real) / f.period**2
+
+
+def _midpoint_error_bound(f: SpectralField, order: float, edge: float, h: float) -> float:
+    """Composite midpoint bound edge^2 h^2 / 24 (max|F_11| + max|F_22|) for F = (D^order f)^2.
+
+    F_aa = 2 (d_a phi)^2 + 2 phi d_a^2 phi, and with the amplitudes
+    |A_k| = s_k |phi_k| the field and its derivatives are bounded by
+    M_j^a = (2 / L) sum_k (theta |k_a|)^j |A_k|.
+    """
+    theta = TWO_PI / f.period
+    modes = np.array(mode_box(f.cutoff), dtype=np.float64)
+    amplitude = (theta * np.hypot(modes[:, 0], modes[:, 1])) ** order * np.abs(f.coeffs)
+    m0 = 2.0 / f.period * amplitude.sum()
+    total = 0.0
+    for axis in (0, 1):
+        wave = theta * np.abs(modes[:, axis])
+        m1 = 2.0 / f.period * (wave * amplitude).sum()
+        m2 = 2.0 / f.period * (wave * wave * amplitude).sum()
+        total += 2.0 * (m1 * m1 + m0 * m2)
+    return edge * edge * h * h / 24.0 * total
+
+
+class TestQuadratureOracle:
+    """The metric's midpoint x_l against the exact windowed norm."""
+
+    @pytest.mark.parametrize("period, cutoff", [(TWO_PI, (2, 2)), (4.0, (3, 1)), (7.0, (1, 3))])
+    @pytest.mark.parametrize("order", [-1.5, 0.0, 1.0])
+    @pytest.mark.parametrize("points_per_unit", [16, 64])
+    def test_windowed_norms_within_midpoint_bound(self, rng, period, cutoff, order, points_per_unit):
+        f = random_field(rng, period, cutoff)
+        level_max = 3
+        profile = _metric_plan(period, cutoff, order, level_max, points_per_unit)(f.coeffs)
+        norms = _window_norms(profile, level_max, points_per_unit)
+        h = 1.0 / points_per_unit
+        for level, x in enumerate(norms, start=1):
+            exact = _exact_window_integral(f, order, float(level))
+            bound = _midpoint_error_bound(f, order, float(level), h)
+            # the analytic O(h^2) bound, plus double rounding in both sums
+            assert abs(x * x - exact) <= bound + 1e-12 * exact
+            # the bound is informative: a small fraction of the integral
+            assert bound < 0.2 * exact
+
+    def test_local_distance_folds_the_window_norms(self, rng):
+        f = random_field(rng, 4.0, (3, 2))
+        zero = SpectralField.zeros(4.0, (3, 2))
+        folded = 0.0
+        tolerance = 0.0
+        for level in (1, 2, 3, 4):
+            exact = _exact_window_integral(f, -1.5, float(level))
+            x = math.sqrt(exact)
+            folded += 0.5**level * x / (1.0 + x)
+            # x / (1 + x) is 1-Lipschitz and |x_q - x| <= |x_q^2 - x^2| / x
+            tolerance += 0.5**level * _midpoint_error_bound(f, -1.5, float(level), 1.0 / 64) / x
+        assert abs(local_distance(f, zero, -1.5, 4) - folded) <= tolerance + 1e-12
 
 
 class TestSerialization:
