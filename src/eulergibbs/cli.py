@@ -166,13 +166,15 @@ def _number_list(minimum: float | None = None, exclusive: bool = False) -> Calla
     return convert
 
 
-def _integer_list(minimum: int) -> Callable[[str], tuple[int, ...]]:
+def _integer_list(minimum: int, min_items: int = 1) -> Callable[[str], tuple[int, ...]]:
     inner = _integer(minimum)
 
     def convert(text: str) -> tuple[int, ...]:
         parts = [part.strip() for part in text.split(",") if part.strip()]
         if not parts:
             raise ConfigError("list value must be nonempty")
+        if len(parts) < min_items:
+            raise ConfigError(f"need at least {min_items} values, got {len(parts)}")
         return tuple(inner(part) for part in parts)
 
     return convert
@@ -243,7 +245,9 @@ CONFIG_SCHEMAS: dict[str, dict[str, Option]] = {
         "gamma": _GIBBS_KEYS["gamma"],
         "period": _GIBBS_KEYS["period"],
         "cutoffs": Option(
-            _integer_list(1), (4, 6, 8, 10, 12), "square cutoff ladder N,N,..."
+            _integer_list(1, min_items=2),
+            (4, 6, 8, 10, 12),
+            "square cutoff ladder N,N,... (at least two)",
         ),
         "betas": Option(_number_list(), (-2.0, -1.5, -0.9), "Sobolev orders to scan"),
         "exponents": Option(

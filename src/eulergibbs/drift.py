@@ -9,19 +9,21 @@ the mode box and gives, per positive mode k,
 
 where the sum runs over all nonzero lattice modes h with both h and k - h in
 the closed box (phi_{-m} = conj(phi_m), zero outside). This is the
-triad-complete truncation: it conserves energy and enstrophy exactly, and its
-symmetrized kernel per unordered pair {h, k - h} equals -2 alpha(h, k, L)
-with alpha the closed-form triad coefficient below.
+triad-complete truncation: it conserves energy and enstrophy exactly.
 
-Two evaluation paths are provided: a precomputed triad table (the normative
-definition, exact term-by-term) and a zero-padded pseudo-spectral transform
-(an independent oracle evaluating the PDE right-hand side on a grid).
+Two evaluation paths are provided. The normative one is a precomputed triad
+table, exact term by term: the two ordered terms of each unordered pair
+{h, j = k - h} share the product phi_h phi_j, so the table keeps one entry per
+pair with the summed integer kernel (h^perp . k)(|j|^2 - |h|^2), which is
+-2 alpha(h, k, L) up to the prefactor, and drops the pairs where it vanishes
+(parallel modes, equal shells). A fixed-order sparse reduction then sums the
+pair products of each k. The other path is a zero-padded pseudo-spectral
+transform, an independent oracle evaluating the PDE right-hand side on a grid.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -34,13 +36,16 @@ from .spectral import (
     TWO_PI,
     _sobolev_weights,
     mode_arrays,
-    mode_box,
 )
 
 TRIAD_SUM = "triad_sum"
 PSEUDO_SPECTRAL = "pseudo_spectral"
 
+# rows per chunk of the pseudo-spectral drift
 _BATCH_CHUNK = 256
+
+# byte budget for one chunk of pair products in the triad drift
+_TRIAD_TERMS_BYTES = 1 << 20
 
 
 def alpha(h: Sequence[int], k: Sequence[int], period: float) -> float:
@@ -75,105 +80,78 @@ class DriftResult:
 
 @dataclass(frozen=True)
 class _TriadTable:
-    """Ordered-pair contribution table for one cutoff.
+    """Unordered-pair triad table for one cutoff.
 
-    For output mode p the pairs offsets[p]:offsets[p+1] list signed-mode
-    indices (a, b) and integer kernel weights w = (h^perp . k) |k - h|^2; the
-    drift is pref * inv_ksq[p] * sum w * s[a] * s[b] with s the coefficient
-    vector extended by its conjugates.
+    Column i is one unordered pair {h, j = k - h}: signed-mode operand indices
+    u_idx[i] < v_idx[i] into the coefficient vector extended by its
+    conjugates, and the exact integer weight (h^perp . k)(|j|^2 - |h|^2), the
+    sum of the two ordered kernels of the pair (-2 alpha up to the
+    prefactor). Pairs whose weight is 0 (parallel h and k, or |h| = |j|) have
+    no column, so single-shell fields get an identically zero drift.
 
-    Each segment lays the two ordered contributions of an unordered pair
-    {h, k - h} out adjacently, and the evaluator multiplies both through the
-    index-sorted operands (u_idx, v_idx), so the pair shares one bitwise
-    product (a complex multiply is not FMA-commutative, so the operand order
-    must be pinned).  The weights of a pair are exact integer negatives
-    whenever |h| = |k - h|; summing each adjacent pair before the segment
-    reduction therefore cancels equal-shell contributions to +0 exactly, and
-    single-shell fields get an identically zero drift.  (a_idx, b_idx) keep
-    the true ordered (h, k - h) labeling for the contribution dump.
+    matrix is the (modes x pairs) CSR reduction holding weight / |k|^2 in row
+    k; its rows take the columns in a fixed order, so the drift
+    prefactor * matrix @ (s[u] * s[v]) is bitwise independent of batching.
     """
 
-    a_idx: np.ndarray
-    b_idx: np.ndarray
     u_idx: np.ndarray
     v_idx: np.ndarray
     weights: np.ndarray
-    offsets: np.ndarray
-    pair_offsets: np.ndarray
-    inv_ksq: np.ndarray
+    matrix: object  # scipy.sparse.csr_array, imported by _triad_table
 
 
 @lru_cache(maxsize=None)
 def _triad_table(cutoff: Mode) -> _TriadTable:
+    from scipy import sparse
+
     n1, n2 = cutoff
     k1, k2 = mode_arrays(cutoff)
     m = k1.size
     signed1 = np.concatenate([k1, -k1])
     signed2 = np.concatenate([k2, -k2])
+    signed_sq = signed1 * signed1 + signed2 * signed2
     lookup = np.full((2 * n1 + 1, 2 * n2 + 1), -1, dtype=np.int64)
     lookup[signed1 + n1, signed2 + n2] = np.arange(2 * m)
 
-    a_parts: list[np.ndarray] = []
-    b_parts: list[np.ndarray] = []
+    u_parts: list[np.ndarray] = []
+    v_parts: list[np.ndarray] = []
     w_parts: list[np.ndarray] = []
     counts = np.empty(m, dtype=np.int64)
     for p in range(m):
         j1 = k1[p] - signed1
         j2 = k2[p] - signed2
-        cross = signed1 * k2[p] - signed2 * k1[p]
-        ok = (
-            (np.abs(j1) <= n1)
-            & (np.abs(j2) <= n2)
-            & ((j1 != 0) | (j2 != 0))
-            & (cross != 0)
-        )
-        a = np.nonzero(ok)[0]
-        weights = (cross[ok] * (j1[ok] ** 2 + j2[ok] ** 2)).astype(np.float64)
-        b = lookup[j1[ok] + n1, j2[ok] + n2]
-        if a.size:
-            # pair-adjacent layout; the partner of (h, k-h) is (k-h, h) and is
-            # always present because the ok mask is symmetric in the pair
-            pos = np.full(2 * m, -1, dtype=np.int64)
-            pos[a] = np.arange(a.size)
-            partner = pos[b]
-            lead = np.nonzero(np.arange(a.size) < partner)[0]
-            order = np.empty(a.size, dtype=np.int64)
-            order[0::2] = lead
-            order[1::2] = partner[lead]
-            a, b, weights = a[order], b[order], weights[order]
-        else:
-            # keep reduceat segments nonempty with one null pair
-            a = np.zeros(2, dtype=np.int64)
-            b = np.zeros(2, dtype=np.int64)
-            weights = np.zeros(2, dtype=np.float64)
-        a_parts.append(a)
-        b_parts.append(b)
-        w_parts.append(weights)
-        counts[p] = a.size
+        inside = (np.abs(j1) <= n1) & (np.abs(j2) <= n2)
+        u = np.nonzero(inside)[0]
+        v = lookup[j1[u] + n1, j2[u] + n2]
+        weights = (signed1[u] * k2[p] - signed2[u] * k1[p]) * (signed_sq[v] - signed_sq[u])
+        # v = -1 marks j = 0; u < v keeps each unordered pair once
+        keep = (u < v) & (weights != 0)
+        u_parts.append(u[keep])
+        v_parts.append(v[keep])
+        w_parts.append(weights[keep])
+        counts[p] = np.count_nonzero(keep)
 
-    offsets = np.zeros(m, dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    a_idx = np.concatenate(a_parts)
-    b_idx = np.concatenate(b_parts)
+    weights = np.concatenate(w_parts)
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    ksq = np.repeat(k1 * k1 + k2 * k2, counts)
+    matrix = sparse.csr_array(
+        (weights / ksq, np.arange(weights.size, dtype=np.int64), indptr),
+        shape=(m, weights.size),
+    )
     table = _TriadTable(
-        a_idx=a_idx,
-        b_idx=b_idx,
-        u_idx=np.minimum(a_idx, b_idx),
-        v_idx=np.maximum(a_idx, b_idx),
-        weights=np.concatenate(w_parts),
-        offsets=offsets,
-        pair_offsets=offsets // 2,
-        inv_ksq=1.0 / (k1 * k1 + k2 * k2).astype(np.float64),
+        u_idx=np.concatenate(u_parts),
+        v_idx=np.concatenate(v_parts),
+        weights=weights,
+        matrix=matrix,
     )
     for arr in (
-        table.a_idx,
-        table.b_idx,
         table.u_idx,
         table.v_idx,
         table.weights,
-        table.offsets,
-        table.pair_offsets,
-        table.inv_ksq,
+        matrix.data,
+        matrix.indices,
+        matrix.indptr,
     ):
         arr.flags.writeable = False
     return table
@@ -182,16 +160,17 @@ def _triad_table(cutoff: Mode) -> _TriadTable:
 def _triad_batch(coeffs: np.ndarray, period: float, cutoff: Mode) -> np.ndarray:
     table = _triad_table(cutoff)
     prefactor = TWO_PI**2 / float(period) ** 3
+    chunk = max(1, _TRIAD_TERMS_BYTES // (16 * table.u_idx.size))
     out = np.empty_like(coeffs)
-    for lo in range(0, coeffs.shape[0], _BATCH_CHUNK):
-        block = coeffs[lo : lo + _BATCH_CHUNK]
-        signed = np.concatenate([block, np.conj(block)], axis=1)
-        terms = signed[:, table.u_idx] * signed[:, table.v_idx] * table.weights
-        # collapse each unordered pair before the segment sum; equal-shell
-        # partners are exact negatives, so shell fields stay bitwise steady
-        pairs = terms[:, 0::2] + terms[:, 1::2]
-        sums = np.add.reduceat(pairs, table.pair_offsets, axis=1)
-        out[lo : lo + _BATCH_CHUNK] = prefactor * (sums * table.inv_ksq)
+    for lo in range(0, coeffs.shape[0], chunk):
+        block = coeffs[lo : lo + chunk].T
+        signed = np.concatenate([block, np.conj(block)])
+        terms = np.take(signed, table.u_idx, axis=0)
+        terms *= np.take(signed, table.v_idx, axis=0)
+        # a real matrix times the float64 view of complex columns reduces the
+        # real and imaginary parts alike, with no complex copy of the matrix
+        sums = (table.matrix @ terms.view(np.float64)).view(np.complex128)
+        out[lo : lo + chunk] = prefactor * sums.T
     return out
 
 
@@ -269,8 +248,8 @@ def drift_batch(
 ) -> np.ndarray:
     """Evaluate the drift for a whole coefficient matrix (rows are fields).
 
-    Rows are processed independently in fixed-size chunks, so the result is
-    bitwise independent of batching and threading.
+    Rows are processed independently in chunks, so the result is bitwise
+    independent of batching and threading.
     """
     cutoff = (int(cutoff[0]), int(cutoff[1]))
     coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -356,45 +335,30 @@ def jacobian_trace_estimate(f: SpectralField, eps: float = 1e-5) -> JacobianTrac
 
 
 def write_triad_contributions(f: SpectralField, path) -> int:
-    """Debugging dump: one CSV row per ordered triad contribution to drift(f).
+    """Debugging dump: one CSV row per unordered triad pair contributing to drift(f).
 
-    Columns are k1,k2,h1,h2,alpha,contribution where alpha is the symmetric
-    closed-form coefficient of the triad and contribution the ordered term
-    added to B_k. Returns the number of rows written.
+    Columns are k1,k2,h1,h2,alpha,contribution where h is the pair's member
+    with the lower signed-mode index, alpha the symmetric closed-form
+    coefficient of the triad and contribution the pair's term added to B_k;
+    the rows of each k sum to B_k. Returns the number of rows written.
     """
     table = _triad_table(f.cutoff)
     k1, k2 = mode_arrays(f.cutoff)
-    signed = np.concatenate([f.coeffs, np.conj(f.coeffs)])
     signed1 = np.concatenate([k1, -k1])
     signed2 = np.concatenate([k2, -k2])
+    signed = np.concatenate([f.coeffs, np.conj(f.coeffs)])
     prefactor = TWO_PI**2 / f.period**3
-    ends = np.append(table.offsets[1:], table.a_idx.size)
-    rows = 0
+    terms = prefactor * table.matrix.data * signed[table.u_idx] * signed[table.v_idx]
+    indptr = table.matrix.indptr
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["k1", "k2", "h1", "h2", "alpha", "contribution"])
         for p in range(k1.size):
-            for i in range(table.offsets[p], ends[p]):
-                if table.weights[i] == 0.0:
-                    continue
-                a = table.a_idx[i]
-                h = (int(signed1[a]), int(signed2[a]))
-                term = (
-                    prefactor
-                    * table.inv_ksq[p]
-                    * table.weights[i]
-                    * signed[a]
-                    * signed[table.b_idx[i]]
-                )
+            k = (int(k1[p]), int(k2[p]))
+            for i in range(indptr[p], indptr[p + 1]):
+                u = table.u_idx[i]
+                h = (int(signed1[u]), int(signed2[u]))
                 writer.writerow(
-                    [
-                        int(k1[p]),
-                        int(k2[p]),
-                        h[0],
-                        h[1],
-                        repr(alpha(h, (int(k1[p]), int(k2[p])), f.period)),
-                        repr(complex(term)),
-                    ]
+                    [*k, *h, repr(alpha(h, k, f.period)), repr(complex(terms[i]))]
                 )
-                rows += 1
-    return rows
+    return int(terms.size)

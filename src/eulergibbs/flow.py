@@ -286,7 +286,6 @@ def evolve(f: SpectralField, cfg: IntegratorConfig) -> Trajectory:
     steps = _plan_steps(cfg.dt, cfg.t_final)
     samples: list[tuple[float, SpectralField]] = [(0.0, f)]
     current = f.coeffs[None, :].copy()
-    t = 0.0
     for index, h in enumerate(steps):
         if cfg.scheme == "rk4":
             current = _rk4_step(current, h, f.period, f.cutoff, cfg)
@@ -294,7 +293,10 @@ def evolve(f: SpectralField, cfg: IntegratorConfig) -> Trajectory:
         else:
             current, mask = _midpoint_step(current, h, f.period, f.cutoff, cfg)
             stalled = bool(mask[0])
-        t += h
+        is_last = index == len(steps) - 1
+        # every step but the last is a whole signed dt, so times come from the
+        # step index rather than a running sum, and the final one is exact
+        t = float(cfg.t_final) if is_last else (index + 1) * h
         if stalled:
             raise IntegrationError(
                 f"implicit midpoint failed to reach tol={cfg.fixed_point_tol} within "
@@ -308,7 +310,6 @@ def evolve(f: SpectralField, cfg: IntegratorConfig) -> Trajectory:
                 step=index,
                 members=[0],
             )
-        is_last = index == len(steps) - 1
         if (cfg.snapshot_stride and (index + 1) % cfg.snapshot_stride == 0 and not is_last) or is_last:
             samples.append((t, f.with_coeffs(current[0])))
     initial_e, final_e = energy(samples[0][1]), energy(samples[-1][1])

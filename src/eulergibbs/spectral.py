@@ -198,24 +198,32 @@ class SpectralField:
             period = float(record["period"])
             cutoff = _check_cutoff(record["cutoff"])
             rows = record["coeffs"]
+            count = len(rows)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed field record: {exc}") from exc
         schema = record.get("schema", FIELD_SCHEMA)
         if schema != FIELD_SCHEMA:
             raise ValueError(f"unsupported field schema {schema!r}")
         modes = mode_box(cutoff)
-        if len(rows) != len(modes):
-            raise ValueError(
-                f"field record has {len(rows)} coefficients, expected {len(modes)}"
-            )
+        if count != len(modes):
+            raise ValueError(f"field record has {count} coefficients, expected {len(modes)}")
         coeffs = np.empty(len(modes), dtype=np.complex128)
         for i, (row, k) in enumerate(zip(rows, modes)):
-            if (int(row[0]), int(row[1])) != k:
+            try:
+                if len(row) != 4:
+                    raise ValueError(f"expected [k1, k2, re, im], got {len(row)} entries")
+                mode = (int(row[0]), int(row[1]))
+                value = complex(float(row[2]), float(row[3]))
+            except (TypeError, ValueError, LookupError, OverflowError) as exc:
+                raise ValueError(f"malformed coefficient row {row!r} at slot {i}: {exc}") from exc
+            if mode != k:
                 raise ValueError(
-                    f"field record mode {tuple(row[:2])} at slot {i} does not match "
+                    f"field record mode {mode} at slot {i} does not match "
                     f"the lexicographic box order (expected {k})"
                 )
-            coeffs[i] = complex(float(row[2]), float(row[3]))
+            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+                raise ValueError(f"non-finite coefficient {row!r} at slot {i}")
+            coeffs[i] = value
         return cls(period, cutoff, coeffs)
 
 

@@ -101,6 +101,14 @@ class TestConfigGrammar:
             assert not (out / "summary.csv").exists()
         assert resolve_config("cauchy", None, ["order=0.5"])["order"] == 0.5
 
+    def test_moments_needs_two_cutoffs(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["moments", "--seed", "1", "--out", str(out), "--set", "cutoffs=4"])
+        assert code == EXIT_CONFIG
+        assert "'cutoffs'" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+        assert resolve_config("moments", None, ["cutoffs=4,6"])["cutoffs"] == (4, 6)
+
     def test_missing_required_flags_exit_nonzero(self):
         assert main(["sample"]) != EXIT_PASS
 
@@ -204,6 +212,28 @@ class TestSampleCommand:
 
 
 class TestEvolveCommand:
+    @pytest.mark.parametrize(
+        "slot, row",
+        [
+            (0, [0, 1, None, 0.0]),
+            (1, [1, -1, 0.5]),
+            (2, [1, 0, float("nan"), 0.0]),
+            (3, [1, 1, 0.0, float("inf")]),
+        ],
+    )
+    def test_malformed_initial_field_is_a_config_error(self, tmp_path, capsys, slot, row):
+        record = SpectralField.zeros(2.0 * math.pi, (1, 1)).to_record()
+        record["coeffs"][slot] = row
+        field_file = tmp_path / "initial.json"
+        field_file.write_text(json.dumps(record))
+        out = tmp_path / "out"
+        code = main(
+            ["evolve", "--seed", "1", "--out", str(out), "--set", f"initial={field_file}"]
+        )
+        assert code == EXIT_CONFIG
+        assert "bad field record" in capsys.readouterr().err
+        assert not (out / "trajectory.jsonl").exists()
+
     def test_single_mode_input_is_steady(self, tmp_path):
         field_file = tmp_path / "initial.json"
         f = SpectralField.from_modes(

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulergibbs.drift import (
+    _TRIAD_TERMS_BYTES,
     PSEUDO_SPECTRAL,
     TRIAD_SUM,
+    _triad_table,
     alpha,
     drift,
     drift_batch,
@@ -19,7 +21,7 @@ from eulergibbs.drift import (
     quadratic_derivative,
     write_triad_contributions,
 )
-from eulergibbs.spectral import SpectralField, mode_box, sobolev_norm
+from eulergibbs.spectral import SpectralField, mode_arrays, mode_box, sobolev_norm
 
 from conftest import random_field
 
@@ -97,8 +99,8 @@ class TestTriadDrift:
             assert np.all(drift(f).field.coeffs == 0.0)
 
     def test_single_shell_steady(self, rng):
-        # contributions within one shell cancel in exact pairs thanks to the
-        # pair-adjacent table layout, so the zero is bitwise, not approximate
+        # equal-shell pairs have weight 0 and are absent from the triad table,
+        # so every remaining product has a zero operand and the zero is bitwise
         f = SpectralField.from_modes(
             TWO_PI, (4, 4), {(1, 0): 1.1 + 0.2j, (0, 1): -0.4 + 0.9j}
         )
@@ -145,10 +147,65 @@ class TestTriadDrift:
         np.testing.assert_allclose(scaled.coeffs, c**2 * drift(f).field.coeffs, rtol=1e-12)
 
     def test_batch_matches_single(self, rng):
-        fields = [random_field(rng, TWO_PI, (3, 3)) for _ in range(5)]
-        batch = drift_batch(np.stack([f.coeffs for f in fields]), TWO_PI, (3, 3))
-        for row, f in zip(batch, fields):
-            assert np.array_equal(row, drift(f).field.coeffs)
+        # at (8, 8) the batch spans three chunks of the triad byte budget
+        chunk = max(1, _TRIAD_TERMS_BYTES // (16 * _triad_table((8, 8)).u_idx.size))
+        for cutoff, count in (((3, 3), 5), ((8, 8), 2 * chunk + 3)):
+            fields = [random_field(rng, TWO_PI, cutoff) for _ in range(count)]
+            batch = drift_batch(np.stack([f.coeffs for f in fields]), TWO_PI, cutoff)
+            for row, f in zip(batch, fields):
+                assert np.array_equal(row, drift(f).field.coeffs)
+
+
+def unordered_triads(cutoff):
+    """Brute-force set of (k, h, j) with h + j = k and h < j lexicographically over
+    the signed box, skipping pairs with alpha(h, k) == 0."""
+    signed = [m for k in mode_box(cutoff) for m in (k, (-k[0], -k[1]))]
+    inside = set(signed)
+    found = set()
+    for k in mode_box(cutoff):
+        for h in signed:
+            j = (k[0] - h[0], k[1] - h[1])
+            if j in inside and h < j and alpha(h, k, 1.0) != 0.0:
+                found.add((k, h, j))
+    return found
+
+
+class TestTriadTable:
+    @pytest.mark.parametrize("cutoff", [(1, 1), (2, 3), (4, 1), (5, 5)])
+    def test_weights_match_closed_form_alpha(self, cutoff):
+        # weight (2 pi)^2 / (L^3 |k|^2) is -2 alpha, pair by pair, and the
+        # table holds exactly the unordered pairs whose alpha is nonzero
+        period = 2.7
+        table = _triad_table(cutoff)
+        k1, k2 = mode_arrays(cutoff)
+        s1 = np.concatenate([k1, -k1])
+        s2 = np.concatenate([k2, -k2])
+        indptr = table.matrix.indptr
+        seen = set()
+        for p in range(k1.size):
+            k = (int(k1[p]), int(k2[p]))
+            k_sq = k[0] ** 2 + k[1] ** 2
+            for i in range(indptr[p], indptr[p + 1]):
+                u, v = int(table.u_idx[i]), int(table.v_idx[i])
+                assert u < v
+                h, j = (int(s1[u]), int(s2[u])), (int(s1[v]), int(s2[v]))
+                assert (h[0] + j[0], h[1] + j[1]) == k
+                weight = int(table.weights[i])
+                assert weight == (h[0] * k[1] - h[1] * k[0]) * (
+                    j[0] ** 2 + j[1] ** 2 - h[0] ** 2 - h[1] ** 2
+                )
+                assert table.matrix.data[i] == weight / k_sq
+                scaled = weight * TWO_PI**2 / (period**3 * k_sq)
+                assert scaled == pytest.approx(-2.0 * alpha(h, k, period), rel=1e-15)
+                seen.add((k, min(h, j), max(h, j)))
+        assert len(seen) == table.u_idx.size
+        assert seen == unordered_triads(cutoff)
+
+    def test_table_is_read_only(self):
+        table = _triad_table((3, 3))
+        for arr in (table.u_idx, table.v_idx, table.weights, table.matrix.data):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestPseudoSpectralOracle:
@@ -176,6 +233,20 @@ class TestPseudoSpectralOracle:
                 scale = sobolev_norm(direct, 0.0)
                 err = sobolev_norm(direct - oracle, 0.0)
                 assert err <= 1e-10 * scale
+
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.floats(0.3, 40.0).filter(lambda length: abs(length - TWO_PI) > 1e-6),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_triad_matches_collocation_property(self, n1, n2, period, seed):
+        field = random_field(np.random.default_rng(seed), period, (n1, n2))
+        direct = drift(field).field.coeffs
+        oracle = drift_pseudospectral(field).field.coeffs
+        scale = np.max(np.abs(direct))
+        assert np.max(np.abs(direct - oracle)) <= 1e-12 * scale + 1e-300
 
     def test_agreement_off_unit_period(self, rng):
         f = decaying_field(rng, 3.7, (5, 5))

@@ -127,9 +127,21 @@ class TestEvolve:
 
     def test_fractional_horizon(self, rng):
         f = decaying_field(rng, TWO_PI, (3, 3))
-        cfg = IntegratorConfig(scheme="rk4", dt=1e-2, t_final=0.025)
-        out = evolve(f, cfg)
-        assert out.samples[-1][0] == pytest.approx(0.025)
+        for t_final in (0.025, -0.025):
+            cfg = IntegratorConfig(scheme="rk4", dt=1e-2, t_final=t_final)
+            out = evolve(f, cfg)
+            assert out.samples[-1][0] == t_final
+
+    @pytest.mark.parametrize("t_final", [1.0, -1.0])
+    def test_times_come_from_the_step_index(self, t_final):
+        # a running t += dt would end at 1.0000000000000007 here
+        f = SpectralField.from_modes(TWO_PI, (1, 1), {(1, 0): 0.5, (1, 1): 0.25j})
+        cfg = IntegratorConfig(scheme="rk4", dt=1e-3, t_final=t_final, snapshot_stride=1)
+        times = [t for t, _ in evolve(f, cfg).samples]
+        assert len(times) == 1001
+        h = math.copysign(1e-3, t_final)
+        assert times[:-1] == [i * h for i in range(1000)]
+        assert times[-1] == t_final
 
     def test_zero_horizon(self, rng):
         f = decaying_field(rng, TWO_PI, (3, 3))
@@ -168,13 +180,15 @@ class TestEnsembleEvolution:
             assert np.array_equal(row, single.coeffs)
 
     def test_thread_count_is_bitwise_irrelevant(self, rng):
-        coeffs = np.stack(
-            [decaying_field(rng, TWO_PI, (4, 4)).coeffs for _ in range(11)]
-        )
         cfg = IntegratorConfig(scheme="rk4", dt=1e-2, t_final=0.2)
-        one = evolve_coeffs(coeffs, TWO_PI, (4, 4), cfg, threads=1)
-        three = evolve_coeffs(coeffs, TWO_PI, (4, 4), cfg, threads=3)
-        assert np.array_equal(one.coeffs, three.coeffs)
+        for cutoff in ((4, 4), (8, 8)):
+            coeffs = np.stack(
+                [decaying_field(rng, TWO_PI, cutoff).coeffs for _ in range(11)]
+            )
+            one = evolve_coeffs(coeffs, TWO_PI, cutoff, cfg, threads=1)
+            for threads in (2, 3):
+                other = evolve_coeffs(coeffs, TWO_PI, cutoff, cfg, threads=threads)
+                assert np.array_equal(one.coeffs, other.coeffs)
 
     def test_midpoint_batch_matches_single(self, rng):
         fields = [decaying_field(rng, TWO_PI, (3, 3)) for _ in range(4)]

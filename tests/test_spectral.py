@@ -408,6 +408,30 @@ class TestSerialization:
         with pytest.raises(ValueError):
             SpectralField.from_record(rec)
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [0, 1, None, 0.0],
+            [0, 1, 0.5],
+            [0, 1, float("nan"), 0.0],
+            [0, 1, 0.0, float("-inf")],
+            [None, 1, 0.0, 0.0],
+            [float("inf"), 1, 0.0, 0.0],
+            [0, 1, 0.0, 0.0, 0.0],
+        ],
+    )
+    def test_record_rejects_malformed_rows(self, row):
+        rec = SpectralField.zeros(TWO_PI, (1, 1)).to_record()
+        rec["coeffs"][0] = row
+        with pytest.raises(ValueError):
+            SpectralField.from_record(json.loads(json.dumps(rec)))
+
+    def test_record_rejects_non_list_coefficients(self):
+        rec = SpectralField.zeros(TWO_PI, (1, 1)).to_record()
+        rec["coeffs"] = 4
+        with pytest.raises(ValueError):
+            SpectralField.from_record(rec)
+
     def test_record_rejects_wrong_count(self, rng):
         f = random_field(rng, TWO_PI, (1, 1))
         rec = f.to_record()
