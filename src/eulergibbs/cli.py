@@ -23,7 +23,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import asdict, dataclass, field as dataclass_field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Sequence
@@ -380,6 +380,26 @@ def _csv_bytes(fieldnames: Sequence[str], rows: Sequence[dict]) -> bytes:
     return buffer.getvalue().encode()
 
 
+def _report_json(report, schema: str, **extra) -> bytes:
+    """A report's JSON payload: its dataclass fields plus the schema tag and extra keys."""
+    return _json_bytes({"schema": schema, **asdict(report), **extra})
+
+
+def _report_csv(rows: Sequence) -> bytes:
+    """A report's summary CSV: one column per row field, a pair field split into name1, name2."""
+    records = []
+    for row in rows:
+        record = {}
+        for f in fields(row):
+            value = getattr(row, f.name)
+            if isinstance(value, tuple):
+                record.update((f"{f.name}{i}", v) for i, v in enumerate(value, start=1))
+            else:
+                record[f.name] = value
+        records.append(record)
+    return _csv_bytes(list(records[0]), records)
+
+
 @dataclass
 class CommandResult:
     outputs: dict[str, bytes]
@@ -520,22 +540,8 @@ def _cmd_invariance(config: dict, seed: int, threads: int) -> CommandResult:
     )
     return CommandResult(
         outputs={
-            "report.json": _json_bytes(report.to_dict()),
-            "summary.csv": _csv_bytes(
-                (
-                    "label",
-                    "kind",
-                    "pre_mean",
-                    "pre_variance",
-                    "pre_se",
-                    "post_mean",
-                    "post_variance",
-                    "post_se",
-                    "ks_statistic",
-                    "p_value",
-                ),
-                report.csv_rows(),
-            ),
+            "report.json": _report_json(report, INVARIANCE_SCHEMA, passed=report.passed),
+            "summary.csv": _report_csv(report.observables),
         },
         verdicts=dict(report.verdicts),
         schemas={"report": INVARIANCE_SCHEMA},
@@ -581,17 +587,16 @@ def _cmd_moments(config: dict, seed: int, threads: int) -> CommandResult:
         elif expected == "divergent":
             verdicts[f"divergent[{label}]"] = series.strictly_increasing
 
-    payload = dict(report.to_dict())
-    payload["expect"] = config["expect"]
-    payload["verdicts"] = verdicts
-    payload["divergence_signature"] = signature
     return CommandResult(
         outputs={
-            "report.json": _json_bytes(payload),
-            "summary.csv": _csv_bytes(
-                ("order", "exponent", "cutoff1", "cutoff2", "mean", "se"),
-                report.csv_rows(),
+            "report.json": _report_json(
+                report,
+                MOMENTS_SCHEMA,
+                expect=config["expect"],
+                verdicts=verdicts,
+                divergence_signature=signature,
             ),
+            "summary.csv": _report_csv(report.rows),
         },
         verdicts=verdicts,
         schemas={"report": MOMENTS_SCHEMA},
@@ -614,14 +619,10 @@ def _cmd_cauchy(config: dict, seed: int, threads: int) -> CommandResult:
     verdicts: dict[str, bool] = {}
     if config["expect"] == "decreasing":
         verdicts["strictly_decreasing"] = report.strictly_decreasing
-    payload = dict(report.to_dict())
-    payload["verdicts"] = verdicts
     return CommandResult(
         outputs={
-            "report.json": _json_bytes(payload),
-            "summary.csv": _csv_bytes(
-                ("level", "mean_sq_distance", "se"), report.csv_rows()
-            ),
+            "report.json": _report_json(report, CAUCHY_SCHEMA, verdicts=verdicts),
+            "summary.csv": _report_csv(report.rows),
         },
         verdicts=verdicts,
         schemas={"report": CAUCHY_SCHEMA},
@@ -647,21 +648,10 @@ def _cmd_continuity(config: dict, seed: int, threads: int) -> CommandResult:
         threads=threads,
     )
     verdicts = {"ratio_stabilizes": report.ratio_stabilizes}
-    payload = dict(report.to_dict())
-    payload["verdicts"] = verdicts
     return CommandResult(
         outputs={
-            "report.json": _json_bytes(payload),
-            "summary.csv": _csv_bytes(
-                (
-                    "delta",
-                    "input_distance",
-                    "median_output_distance",
-                    "median_ratio",
-                    "surviving",
-                ),
-                report.csv_rows(),
-            ),
+            "report.json": _report_json(report, CONTINUITY_SCHEMA, verdicts=verdicts),
+            "summary.csv": _report_csv(report.rows),
         },
         verdicts=verdicts,
         schemas={"report": CONTINUITY_SCHEMA},

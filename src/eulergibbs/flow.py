@@ -10,14 +10,24 @@ experiments where conservation drift must be negligible.
 Negative t_final integrates backwards (the drift is autonomous, so this is
 sign-flipped stepping). Trajectories record snapshots plus the relative
 energy and enstrophy drift between the endpoints.
+
+All stepping goes through one loop: _march advances a block of rows over
+the planned steps with _advance, the only place the scheme is dispatched,
+and drops a row from the block once it stalls or overflows. evolve_coeffs
+runs that loop on contiguous row blocks through map_row_blocks and NaN-fills
+the failed rows; evolve runs it on one row, records snapshots and raises at
+the first failed step; step is evolve over one signed dt.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
-from typing import Sequence
+from dataclasses import dataclass, field as dataclass_field, replace
+from functools import lru_cache
+from pathlib import Path
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -27,6 +37,8 @@ from .spectral import Mode, SpectralField, energy, enstrophy
 SCHEMES = ("rk4", "implicit_midpoint")
 
 TRAJECTORY_SCHEMA = "trajectory.v1"
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -176,35 +188,82 @@ def _midpoint_step(
     return 2.0 * stage - coeffs, active
 
 
-def _evolve_block(
-    coeffs: np.ndarray,
-    period: float,
-    cutoff: Mode,
-    cfg: IntegratorConfig,
-    steps: Sequence[float],
-    offset: int,
-    failures: list[int],
-) -> np.ndarray:
+def _advance(
+    rows: np.ndarray, h: float, period: float, cutoff: Mode, cfg: IntegratorConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One signed step of the configured scheme over a block of independent rows.
+
+    Returns the stepped rows, the mask of rows whose fixed-point solve stalled
+    (never set by rk4) and the mask of rows with a non-finite coefficient.
+    """
+    if cfg.scheme == "rk4":
+        stepped = _rk4_step(rows, h, period, cutoff, cfg)
+        stalled = np.zeros(rows.shape[0], dtype=bool)
+    else:
+        stepped, stalled = _midpoint_step(rows, h, period, cutoff, cfg)
+    return stepped, stalled, ~np.isfinite(stepped).all(axis=1)
+
+
+def _march(
+    coeffs: np.ndarray, steps: Sequence[float], period: float, cutoff: Mode, cfg: IntegratorConfig
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Advance a copy of coeffs through the planned steps, yielding after each one.
+
+    Yields (step index, current rows, stalled row indices, overflowed row
+    indices). A row that failed is never stepped again and keeps the value
+    of its failed step; the loop ends early once every row has failed.
+    """
     current = coeffs.copy()
-    alive = np.ones(current.shape[0], dtype=bool)
-    for h in steps:
-        rows = np.nonzero(alive)[0]
-        if rows.size == 0:
-            break
-        if cfg.scheme == "rk4":
-            stepped = _rk4_step(current[rows], h, period, cutoff, cfg)
-            stalled = np.zeros(rows.size, dtype=bool)
-        else:
-            stepped, stalled = _midpoint_step(current[rows], h, period, cutoff, cfg)
-        finite = np.isfinite(stepped).all(axis=1)
-        bad = stalled | ~finite
-        current[rows] = stepped
-        if bad.any():
-            for i in rows[bad]:
-                failures.append(offset + int(i))
-            current[rows[bad]] = np.nan
-            alive[rows[bad]] = False
-    return current
+    alive = np.arange(current.shape[0])
+    for index, h in enumerate(steps):
+        if alive.size == 0:
+            return
+        stepped, stalled, overflowed = _advance(current[alive], h, period, cutoff, cfg)
+        current[alive] = stepped
+        yield index, current, alive[stalled], alive[overflowed & ~stalled]
+        alive = alive[~(stalled | overflowed)]
+
+
+@lru_cache(maxsize=None)
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None without one."""
+    site = Path(np.__file__).resolve().parent.parent
+    libs = sorted(site.glob("numpy.libs/libscipy_openblas64_*.so"))
+    if not libs:
+        return None
+    lib = ctypes.CDLL(str(libs[0]))
+    try:
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except AttributeError:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+def map_row_blocks(fn: Callable[[int, int], T], rows: int, threads: int = 1) -> list[T]:
+    """fn(lo, hi) over contiguous blocks that split range(rows); results in block order.
+
+    There are min(threads, rows) blocks (at least one), run concurrently. fn
+    must treat every row independently of the others in its block, so the
+    concatenated results are identical for every thread count. With more than
+    one block, numpy's bundled OpenBLAS is held at one thread for the call, so
+    the blocks do not oversubscribe the cores with BLAS threads of their own.
+    """
+    blocks = max(1, min(int(threads), int(rows)))
+    if blocks == 1:
+        return [fn(0, rows)]
+    bounds = np.linspace(0, rows, blocks + 1, dtype=int).tolist()
+    blas = _openblas_threads()
+    saved = blas[0]() if blas else None
+    if blas:
+        blas[1](1)
+    try:
+        with ThreadPoolExecutor(max_workers=blocks) as pool:
+            return list(pool.map(fn, bounds[:-1], bounds[1:]))
+    finally:
+        if blas:
+            blas[1](saved)
 
 
 def evolve_coeffs(
@@ -216,101 +275,58 @@ def evolve_coeffs(
 ) -> EnsembleEvolution:
     """Evolve every row of a coefficient matrix over cfg.t_final.
 
-    threads > 1 splits the rows into contiguous blocks evolved concurrently;
-    rows never interact, so the result is bitwise identical for any thread
-    count. Failed rows (solver stall, overflow) are reported, not raised.
+    threads > 1 evolves contiguous row blocks concurrently; rows never
+    interact, so the result is bitwise identical for any thread count. Failed
+    rows (solver stall, overflow) are NaN-filled and reported, not raised.
     """
     cutoff = (int(cutoff[0]), int(cutoff[1]))
     coeffs = np.array(coeffs, dtype=np.complex128)
     if coeffs.ndim != 2:
         raise ValueError(f"coeffs must be 2-D (members, modes), got {coeffs.shape}")
     steps = _plan_steps(cfg.dt, cfg.t_final)
-    threads = max(1, int(threads))
-    members = coeffs.shape[0]
-    if members == 0 or not steps:
-        return EnsembleEvolution(coeffs=coeffs, steps=len(steps))
 
-    failures: list[int] = []
-    if threads == 1 or members == 1:
-        final = _evolve_block(coeffs, period, cutoff, cfg, steps, 0, failures)
-    else:
-        bounds = np.linspace(0, members, threads + 1, dtype=int)
-        final = np.empty_like(coeffs)
-        block_failures: list[list[int]] = [[] for _ in range(threads)]
+    def run(lo: int, hi: int) -> tuple[np.ndarray, list[int]]:
+        current, failed = coeffs[lo:hi], []
+        for _, current, stalled, overflowed in _march(coeffs[lo:hi], steps, period, cutoff, cfg):
+            failed.extend(lo + int(i) for i in (*stalled, *overflowed))
+        return current, failed
 
-        def run(i: int) -> None:
-            lo, hi = bounds[i], bounds[i + 1]
-            if lo < hi:
-                final[lo:hi] = _evolve_block(
-                    coeffs[lo:hi], period, cutoff, cfg, steps, lo, block_failures[i]
-                )
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(threads)))
-        for chunk in block_failures:
-            failures.extend(chunk)
-
-    return EnsembleEvolution(
-        coeffs=final, steps=len(steps), failed_members=tuple(sorted(failures))
-    )
-
-
-def step(f: SpectralField, cfg: IntegratorConfig) -> SpectralField:
-    """A single step of the configured scheme (signed by the direction of t_final)."""
-    h = math.copysign(cfg.dt, cfg.t_final) if cfg.t_final != 0.0 else cfg.dt
-    if cfg.scheme == "rk4":
-        out = _rk4_step(f.coeffs[None, :], h, f.period, f.cutoff, cfg)[0]
-        if not np.isfinite(out).all():
-            raise IntegrationError("rk4 step produced non-finite coefficients", step=0, members=[0])
-        return f.with_coeffs(out)
-    out, stalled = _midpoint_step(f.coeffs[None, :], h, f.period, f.cutoff, cfg)
-    if stalled[0]:
-        raise IntegrationError(
-            f"implicit midpoint failed to reach tol={cfg.fixed_point_tol} "
-            f"within {cfg.max_fixed_point_iters} iterations",
-            step=0,
-            members=[0],
-        )
-    if not np.isfinite(out).all():
-        raise IntegrationError("midpoint step produced non-finite coefficients", step=0, members=[0])
-    return f.with_coeffs(out[0])
+    blocks = map_row_blocks(run, coeffs.shape[0], threads)
+    final = np.concatenate([rows for rows, _ in blocks])
+    failed = tuple(sorted(i for _, block in blocks for i in block))
+    final[np.asarray(failed, dtype=np.intp)] = np.nan
+    return EnsembleEvolution(coeffs=final, steps=len(steps), failed_members=failed)
 
 
 def evolve(f: SpectralField, cfg: IntegratorConfig) -> Trajectory:
     """Integrate a single field over cfg.t_final, recording snapshots.
 
-    Raises IntegrationError on solver stall or overflow; snapshots include
-    the initial state, every snapshot_stride-th step when the stride is
-    positive, and the final state.
+    Raises IntegrationError at the first step that stalls or overflows;
+    snapshots include the initial state, every snapshot_stride-th step when
+    the stride is positive, and the final state.
     """
     steps = _plan_steps(cfg.dt, cfg.t_final)
     samples: list[tuple[float, SpectralField]] = [(0.0, f)]
-    current = f.coeffs[None, :].copy()
-    for index, h in enumerate(steps):
-        if cfg.scheme == "rk4":
-            current = _rk4_step(current, h, f.period, f.cutoff, cfg)
-            stalled = False
-        else:
-            current, mask = _midpoint_step(current, h, f.period, f.cutoff, cfg)
-            stalled = bool(mask[0])
+    marching = _march(f.coeffs[None, :], steps, f.period, f.cutoff, cfg)
+    for index, current, stalled, overflowed in marching:
         is_last = index == len(steps) - 1
         # every step but the last is a whole signed dt, so times come from the
         # step index rather than a running sum, and the final one is exact
-        t = float(cfg.t_final) if is_last else (index + 1) * h
-        if stalled:
+        t = float(cfg.t_final) if is_last else (index + 1) * steps[index]
+        if stalled.size:
             raise IntegrationError(
                 f"implicit midpoint failed to reach tol={cfg.fixed_point_tol} within "
                 f"{cfg.max_fixed_point_iters} iterations at step {index} (t = {t:.6g})",
                 step=index,
                 members=[0],
             )
-        if not np.isfinite(current).all():
+        if overflowed.size:
             raise IntegrationError(
                 f"integration overflowed at step {index} (t = {t:.6g})",
                 step=index,
                 members=[0],
             )
-        if (cfg.snapshot_stride and (index + 1) % cfg.snapshot_stride == 0 and not is_last) or is_last:
+        if is_last or (cfg.snapshot_stride and (index + 1) % cfg.snapshot_stride == 0):
             samples.append((t, f.with_coeffs(current[0])))
     initial_e, final_e = energy(samples[0][1]), energy(samples[-1][1])
     initial_s, final_s = enstrophy(samples[0][1]), enstrophy(samples[-1][1])
@@ -319,3 +335,9 @@ def evolve(f: SpectralField, cfg: IntegratorConfig) -> Trajectory:
         energy_drift=abs(final_e - initial_e) / max(abs(initial_e), 1.0),
         enstrophy_drift=abs(final_s - initial_s) / max(abs(initial_s), 1.0),
     )
+
+
+def step(f: SpectralField, cfg: IntegratorConfig) -> SpectralField:
+    """A single step of the configured scheme (signed by the direction of t_final)."""
+    h = math.copysign(cfg.dt, cfg.t_final) if cfg.t_final != 0.0 else cfg.dt
+    return evolve(f, replace(cfg, t_final=h, snapshot_stride=0)).final

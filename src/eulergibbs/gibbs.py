@@ -273,19 +273,3 @@ def coupled_dyadic_pair(
         SpectralField(p_base.period, p_base.cutoff, coarse[0]),
         SpectralField(fine_params.period, fine_params.cutoff, fine[0]),
     )
-
-
-def ensemble_manifest(p: GibbsParams, rng: RngStream, count: int) -> dict:
-    """The JSON manifest that accompanies an exported ensemble."""
-    return {
-        "schema": ENSEMBLE_SCHEMA,
-        "params": {
-            "gamma": p.gamma,
-            "period": p.period,
-            "cutoff": list(p.cutoff),
-        },
-        "seed": rng.master_seed,
-        "stream_id": rng.stream_id,
-        "count": int(count),
-        "generator": GENERATOR_NAME,
-    }

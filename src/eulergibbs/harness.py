@@ -20,7 +20,6 @@ row blocks and never change any reported number.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -29,18 +28,18 @@ from scipy.special import gammaincc
 
 from ._meta import VERSION
 from .drift import PSEUDO_SPECTRAL, drift_batch
-from .flow import IntegrationError, IntegratorConfig, evolve_coeffs
+from .flow import IntegrationError, IntegratorConfig, evolve_coeffs, map_row_blocks
 from .gibbs import (
     GENERATOR_NAME,
     GibbsParams,
     RngStream,
+    _sigma_vector,
     coupled_dyadic_matrices,
     sample_coeff_matrix,
 )
 from .spectral import (
     Mode,
     SpectralField,
-    TWO_PI,
     _embed,
     _sobolev_weights,
     cross_period_distance,  # noqa: F401  harness name that perfbench/tracer.py wraps
@@ -66,6 +65,16 @@ CONTINUITY_SCHEMA = "report.continuity.v1"
 
 def _child(rng: RngStream, offset: int) -> RngStream:
     return rng.substream((rng.stream_id << 8) | offset)
+
+
+def _provenance(rng: RngStream) -> dict:
+    """The manifest entries that tie a report to its random stream and code."""
+    return {
+        "master_seed": rng.master_seed,
+        "stream_id": rng.stream_id,
+        "generator": GENERATOR_NAME,
+        "version": VERSION,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -281,20 +290,6 @@ class ObservableRow:
     ks_statistic: float
     p_value: float
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "kind": self.kind,
-            "pre_mean": self.pre_mean,
-            "pre_variance": self.pre_variance,
-            "pre_se": self.pre_se,
-            "post_mean": self.post_mean,
-            "post_variance": self.post_variance,
-            "post_se": self.post_se,
-            "ks_statistic": self.ks_statistic,
-            "p_value": self.p_value,
-        }
-
 
 @dataclass(frozen=True)
 class EnsembleReport:
@@ -314,35 +309,11 @@ class EnsembleReport:
     def passed(self) -> bool:
         return all(self.verdicts.values())
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": INVARIANCE_SCHEMA,
-            "ensemble_size": self.ensemble_size,
-            "surviving": self.surviving,
-            "failed_members": list(self.failed_members),
-            "energy_drift_max": self.energy_drift_max,
-            "enstrophy_drift_max": self.enstrophy_drift_max,
-            "marginal_pass_rate": self.marginal_pass_rate,
-            "verdicts": dict(self.verdicts),
-            "passed": self.passed,
-            "observables": [row.to_dict() for row in self.observables],
-            "manifest": self.manifest,
-        }
-
-    def csv_rows(self) -> list[dict]:
-        return [row.to_dict() for row in self.observables]
-
 
 def _column_stats(values: np.ndarray) -> tuple[float, float, float]:
     mean = float(values.mean())
     variance = float(values.var(ddof=1)) if values.size > 1 else 0.0
     return mean, variance, math.sqrt(variance / values.size) if values.size else 0.0
-
-
-def _quadratic_rows(coeffs: np.ndarray, period: float, cutoff: Mode, order: float) -> np.ndarray:
-    weights = _sobolev_weights(period, cutoff, order)
-    abs_sq = coeffs.real**2 + coeffs.imag**2
-    return np.einsum("sm,m->s", abs_sq, weights, optimize=False)
 
 
 def run_invariance(
@@ -391,10 +362,11 @@ def run_invariance(
     post = evolution.coeffs[keep]
     pre = sample_coeff_matrix(p, _child(rng, STREAM_FRESH), ensemble_size)
 
-    energy_pre = _quadratic_rows(initial[keep], p.period, p.cutoff, 1.0)
-    energy_post = _quadratic_rows(post, p.period, p.cutoff, 1.0)
-    enstrophy_pre = _quadratic_rows(initial[keep], p.period, p.cutoff, 2.0)
-    enstrophy_post = _quadratic_rows(post, p.period, p.cutoff, 2.0)
+    energy_spec, enstrophy_spec = ObservableSpec("energy"), ObservableSpec("enstrophy")
+    energy_pre = observable_values(energy_spec, initial[keep], p.period, p.cutoff)
+    energy_post = observable_values(energy_spec, post, p.period, p.cutoff)
+    enstrophy_pre = observable_values(enstrophy_spec, initial[keep], p.period, p.cutoff)
+    enstrophy_post = observable_values(enstrophy_spec, post, p.period, p.cutoff)
     energy_drift = np.abs(energy_post - energy_pre) / np.maximum(np.abs(energy_pre), 1.0)
     enstrophy_drift = np.abs(enstrophy_post - enstrophy_pre) / np.maximum(
         np.abs(enstrophy_pre), 1.0
@@ -448,10 +420,7 @@ def run_invariance(
             "drift_method": cfg.drift_method,
             "fixed_point_tol": cfg.fixed_point_tol,
         },
-        "master_seed": rng.master_seed,
-        "stream_id": rng.stream_id,
-        "generator": GENERATOR_NAME,
-        "version": VERSION,
+        **_provenance(rng),
         "thresholds": {
             "alpha": alpha,
             "pass_fraction": pass_fraction,
@@ -509,68 +478,6 @@ class MomentReport:
                 return s
         raise KeyError(f"no series for order {order}, exponent {exponent}")
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": MOMENTS_SCHEMA,
-            "cutoffs": [list(c) for c in self.cutoffs],
-            "rows": [
-                {
-                    "order": r.order,
-                    "exponent": r.exponent,
-                    "cutoff": list(r.cutoff),
-                    "mean": r.mean,
-                    "se": r.se,
-                }
-                for r in self.rows
-            ],
-            "series": [
-                {
-                    "order": s.order,
-                    "exponent": s.exponent,
-                    "means": list(s.means),
-                    "stable_tail": s.stable_tail,
-                    "strictly_increasing": s.strictly_increasing,
-                }
-                for s in self.series
-            ],
-            "manifest": self.manifest,
-        }
-
-    def csv_rows(self) -> list[dict]:
-        return [
-            {
-                "order": r.order,
-                "exponent": r.exponent,
-                "cutoff1": r.cutoff[0],
-                "cutoff2": r.cutoff[1],
-                "mean": r.mean,
-                "se": r.se,
-            }
-            for r in self.rows
-        ]
-
-
-def _threaded_blocks(fn: Callable[[np.ndarray], np.ndarray], matrix: np.ndarray, threads: int) -> np.ndarray:
-    """Apply a row-wise map over contiguous blocks, optionally in parallel.
-
-    fn must act row-independently; the concatenation order is fixed by block
-    index, so the result is identical for every thread count.
-    """
-    threads = max(1, int(threads))
-    if threads == 1 or matrix.shape[0] < 2 * threads:
-        return fn(matrix)
-    bounds = np.linspace(0, matrix.shape[0], threads + 1, dtype=int)
-    pieces: list[np.ndarray | None] = [None] * threads
-
-    def run(i: int) -> None:
-        lo, hi = bounds[i], bounds[i + 1]
-        if lo < hi:
-            pieces[i] = fn(matrix[lo:hi])
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run, range(threads)))
-    return np.concatenate([piece for piece in pieces if piece is not None], axis=0)
-
 
 def moment_scan(
     p: GibbsParams,
@@ -608,10 +515,12 @@ def moment_scan(
     for cutoff in ladder:
         params = GibbsParams(p.gamma, p.period, cutoff)
         coeffs = sample_coeff_matrix(params, stream, ensemble_size)
-        rates = _threaded_blocks(
-            lambda block: drift_batch(block, p.period, cutoff, method=drift_method),
-            coeffs,
-            threads,
+        rates = np.concatenate(
+            map_row_blocks(
+                lambda lo, hi: drift_batch(coeffs[lo:hi], p.period, cutoff, method=drift_method),
+                ensemble_size,
+                threads,
+            )
         )
         abs_sq = rates.real**2 + rates.imag**2
         for b in orders:
@@ -646,10 +555,7 @@ def moment_scan(
         "ensemble_size": ensemble_size,
         "drift_method": drift_method,
         "stability_tol": stability_tol,
-        "master_seed": rng.master_seed,
-        "stream_id": rng.stream_id,
-        "generator": GENERATOR_NAME,
-        "version": VERSION,
+        **_provenance(rng),
     }
     return MomentReport(rows=tuple(rows), series=tuple(series), cutoffs=ladder, manifest=manifest)
 
@@ -677,24 +583,6 @@ class CauchyReport:
     @property
     def passed(self) -> bool:
         return self.strictly_decreasing
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": CAUCHY_SCHEMA,
-            "order": self.order,
-            "rows": [
-                {"level": r.level, "mean_sq_distance": r.mean_sq_distance, "se": r.se}
-                for r in self.rows
-            ],
-            "strictly_decreasing": self.strictly_decreasing,
-            "manifest": self.manifest,
-        }
-
-    def csv_rows(self) -> list[dict]:
-        return [
-            {"level": r.level, "mean_sq_distance": r.mean_sq_distance, "se": r.se}
-            for r in self.rows
-        ]
 
 
 def cauchy_scan(
@@ -742,9 +630,9 @@ def cauchy_scan(
             n, n + 1, base, stream, ensemble_size
         )
 
-        def distances(block_index: np.ndarray) -> np.ndarray:
-            out = np.empty(block_index.size, dtype=np.float64)
-            for slot, i in enumerate(block_index):
+        def distances(lo: int, hi: int) -> np.ndarray:
+            out = np.empty(hi - lo, dtype=np.float64)
+            for slot, i in enumerate(range(lo, hi)):
                 # the coarse field, exactly re-expressed on the fine torus
                 f = _embed(
                     SpectralField(base.period, base.cutoff, coarse[i]), fine_params.cutoff, ratio=2
@@ -755,7 +643,7 @@ def cauchy_scan(
                 ) ** 2
             return out
 
-        sq = _threaded_blocks(distances, np.arange(ensemble_size), threads)
+        sq = np.concatenate(map_row_blocks(distances, ensemble_size, threads))
         mean, _, se = _column_stats(sq)
         rows.append(CauchyRow(level=n, mean_sq_distance=mean, se=se))
 
@@ -773,10 +661,7 @@ def cauchy_scan(
         "modes_per_unit": modes_per_unit,
         "level_max": level_max,
         "points_per_unit": points_per_unit,
-        "master_seed": rng.master_seed,
-        "stream_id": rng.stream_id,
-        "generator": GENERATOR_NAME,
-        "version": VERSION,
+        **_provenance(rng),
     }
     return CauchyReport(
         rows=tuple(rows),
@@ -813,45 +698,10 @@ class ContinuityReport:
     def passed(self) -> bool:
         return self.ratio_stabilizes
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": CONTINUITY_SCHEMA,
-            "order": self.order,
-            "rows": [
-                {
-                    "delta": r.delta,
-                    "input_distance": r.input_distance,
-                    "median_output_distance": r.median_output_distance,
-                    "median_ratio": r.median_ratio,
-                    "surviving": r.surviving,
-                }
-                for r in self.rows
-            ],
-            "ratio_stabilizes": self.ratio_stabilizes,
-            "monotone_in_delta": self.monotone_in_delta,
-            "manifest": self.manifest,
-        }
-
-    def csv_rows(self) -> list[dict]:
-        return [
-            {
-                "delta": r.delta,
-                "input_distance": r.input_distance,
-                "median_output_distance": r.median_output_distance,
-                "median_ratio": r.median_ratio,
-                "surviving": r.surviving,
-            }
-            for r in self.rows
-        ]
-
 
 def _perturbation_direction(p: GibbsParams, order: float) -> np.ndarray:
     """The fixed probe direction: the Gibbs deviation profile, unit H^order norm."""
-    sigma = np.array(
-        np.sqrt(2.0 / p.gamma) * (p.period / TWO_PI) ** 2, dtype=np.float64
-    )
-    k1, k2 = mode_arrays(p.cutoff)
-    profile = sigma / (k1 * k1 + k2 * k2).astype(np.float64)
+    profile = _sigma_vector(p.gamma, p.period, p.cutoff)
     weights = _sobolev_weights(p.period, p.cutoff, order)
     norm = math.sqrt(float(np.dot(weights, profile * profile)))
     return (profile / norm).astype(np.complex128)
@@ -903,9 +753,9 @@ def continuity_probe(
             points_per_unit=points_per_unit,
         )
 
-        def output_distances(block_index: np.ndarray) -> np.ndarray:
-            out = np.empty(block_index.size, dtype=np.float64)
-            for slot, i in enumerate(block_index):
+        def output_distances(lo: int, hi: int) -> np.ndarray:
+            out = np.empty(hi - lo, dtype=np.float64)
+            for slot, i in enumerate(keep[lo:hi]):
                 f = zero.with_coeffs(base_evolution.coeffs[i])
                 g = zero.with_coeffs(pert_evolution.coeffs[i])
                 out[slot] = local_distance(
@@ -913,7 +763,7 @@ def continuity_probe(
                 )
             return out
 
-        outputs = _threaded_blocks(output_distances, np.asarray(keep, dtype=int), threads)
+        outputs = np.concatenate(map_row_blocks(output_distances, len(keep), threads))
         median_out = float(np.median(outputs)) if outputs.size else math.nan
         ratio = median_out / input_distance if input_distance > 0.0 else math.nan
         rows.append(
@@ -956,10 +806,7 @@ def continuity_probe(
         "points_per_unit": points_per_unit,
         "ratio_tol": ratio_tol,
         "probe_direction": "gibbs-sigma-profile-normalized",
-        "master_seed": rng.master_seed,
-        "stream_id": rng.stream_id,
-        "generator": GENERATOR_NAME,
-        "version": VERSION,
+        **_provenance(rng),
     }
     return ContinuityReport(
         rows=tuple(rows),

@@ -1,17 +1,21 @@
 """Integrator schemes: steady states, order, reversibility, conservation, batching."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from eulergibbs.drift import drift_batch
 from eulergibbs.flow import (
     EnsembleEvolution,
     IntegrationError,
     IntegratorConfig,
     Trajectory,
+    _openblas_threads,
     evolve,
     evolve_coeffs,
+    map_row_blocks,
     step,
 )
 from eulergibbs.spectral import SpectralField, enstrophy, energy, sobolev_norm
@@ -220,3 +224,73 @@ class TestEnsembleEvolution:
         a = evolve_coeffs(coeffs, TWO_PI, (4, 4), triad).coeffs
         b = evolve_coeffs(coeffs, TWO_PI, (4, 4), pseudo).coeffs
         assert np.max(np.abs(a - b)) <= 1e-9
+
+
+class TestSteppingContract:
+    @pytest.mark.parametrize(
+        "scheme,scale,cfg_extra,cause",
+        [
+            ("rk4", 5.0, {"dt": 0.1}, "overflowed"),
+            (
+                "implicit_midpoint",
+                3.0,
+                {"dt": 0.05, "max_fixed_point_iters": 40},
+                "failed to reach tol",
+            ),
+        ],
+    )
+    def test_evolve_raises_at_the_first_failed_step(self, rng, scheme, scale, cfg_extra, cause):
+        f = random_field(rng, TWO_PI, (3, 3), scale=scale)
+        cfg = IntegratorConfig(scheme=scheme, t_final=100 * cfg_extra["dt"], **cfg_extra)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationError) as caught:
+                evolve(f, cfg)
+        error = caught.value
+        assert error.step > 0
+        assert error.members == (0,)
+        assert cause in str(error)
+        assert f"at step {error.step} " in str(error)
+        # every step before the failing one completes
+        before = evolve(f, replace(cfg, t_final=error.step * cfg.dt)).final
+        assert np.isfinite(before.coeffs).all()
+
+    @pytest.mark.parametrize("scheme", ["rk4", "implicit_midpoint"])
+    @pytest.mark.parametrize("direction", [1.0, -1.0])
+    def test_step_is_a_one_dt_evolve(self, rng, scheme, direction):
+        f = decaying_field(rng, TWO_PI, (4, 4))
+        cfg = IntegratorConfig(scheme=scheme, dt=0.02, t_final=direction * 1.0)
+        one_dt = evolve(f, replace(cfg, t_final=direction * 0.02)).final
+        assert np.array_equal(step(f, cfg).coeffs, one_dt.coeffs)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_fewer_rows_than_threads(self, rng, rows):
+        coeffs = np.stack([decaying_field(rng, TWO_PI, (4, 4)).coeffs for _ in range(rows)])
+
+        def rates(lo: int, hi: int) -> np.ndarray:
+            return drift_batch(coeffs[lo:hi], TWO_PI, (4, 4))
+
+        lone = map_row_blocks(rates, rows, 1)
+        cfg = IntegratorConfig(scheme="implicit_midpoint", dt=1e-2, t_final=0.05)
+        evolved = evolve_coeffs(coeffs, TWO_PI, (4, 4), cfg, threads=1).coeffs
+        for threads in (2, 3):
+            blocks = map_row_blocks(rates, rows, threads)
+            assert len(blocks) == rows
+            assert np.array_equal(np.concatenate(blocks), np.concatenate(lone))
+            other = evolve_coeffs(coeffs, TWO_PI, (4, 4), cfg, threads=threads).coeffs
+            assert np.array_equal(other, evolved)
+
+    def test_bundled_openblas_is_pinned_inside_the_blocks(self):
+        blas = _openblas_threads()
+        if blas is None:
+            pytest.skip("numpy has no bundled OpenBLAS with a thread-count symbol")
+        get, put = blas
+        saved = get()
+        try:
+            put(2)
+            inside = map_row_blocks(lambda lo, hi: get(), 4, threads=2)
+            assert inside == [1, 1]
+            assert get() == 2
+        finally:
+            put(saved)

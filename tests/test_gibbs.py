@@ -8,14 +8,12 @@ from numpy.random import Philox
 from scipy import stats
 
 from eulergibbs.gibbs import (
-    GENERATOR_NAME,
     GibbsParams,
     RngStream,
     _philox4x64,
     _to_uniform,
     coupled_dyadic_matrices,
     coupled_dyadic_pair,
-    ensemble_manifest,
     field_covariance,
     log_density_ratio,
     pack_mode,
@@ -155,14 +153,6 @@ class TestSampler:
             assert abs_sq.mean() == pytest.approx(var, rel=0.05)
             ratio = (abs_sq**2).mean() / abs_sq.mean() ** 2
             assert ratio == pytest.approx(2.0, rel=0.06)
-
-    def test_manifest_contents(self):
-        p = GibbsParams(gamma=1.5, period=4.0, cutoff=(3, 2))
-        manifest = ensemble_manifest(p, RngStream(11, 2), 100)
-        assert manifest["generator"] == GENERATOR_NAME
-        assert manifest["params"]["gamma"] == 1.5
-        assert manifest["count"] == 100
-        assert manifest["schema"] == "ensemble.v1"
 
 
 class TestLogDensityRatio:

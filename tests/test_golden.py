@@ -1,0 +1,99 @@
+"""Golden determinism hashes: every subcommand at a small config reproduces the
+payload bytes recorded in golden_hashes.json.
+
+A refactor that claims bitwise-identical output leaves every hash here
+unchanged, and a numeric move of even one ulp shows up as a fixture diff.
+The pooled cases run at one and two threads against the same recorded hash.
+When a change moves numbers on purpose, rewrite the fixture with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and list the cases whose hashes moved in CHANGES.md.
+"""
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from eulergibbs.cli import EXIT_PASS, EXIT_VERDICT, main
+
+GOLDEN = Path(__file__).with_name("golden_hashes.json")
+SEED = 1
+
+# name -> (subcommand argv, thread counts that must all give the recorded hash)
+CASES = {
+    "sample": (["sample", "--set", "count=20"], (1,)),
+    "evolve-rk4": (["evolve", "--set", "dt=0.01", "--set", "t_final=0.05"], (1,)),
+    "evolve-midpoint-round-trip": (
+        [
+            "evolve",
+            "--set", "scheme=implicit_midpoint",
+            "--set", "snapshot_stride=1",
+            "--set", "round_trip=true",
+            "--set", "dt=0.01",
+            "--set", "t_final=0.1",
+        ],
+        (1,),
+    ),
+    "invariance": (
+        ["invariance", "--set", "ensemble=100", "--set", "dt=0.01", "--set", "t_final=0.05"],
+        (1, 2),
+    ),
+    "invariance-midpoint-pseudo": (
+        [
+            "invariance",
+            "--set", "ensemble=100",
+            "--set", "scheme=implicit_midpoint",
+            "--set", "drift_method=pseudo_spectral",
+            "--set", "dt=0.01",
+            "--set", "t_final=0.03",
+        ],
+        (1, 2),
+    ),
+    "moments": (["moments", "--set", "cutoffs=4,6", "--set", "ensemble=20"], (1, 2)),
+    "moments-triad": (
+        [
+            "moments",
+            "--set", "cutoffs=4,6",
+            "--set", "ensemble=20",
+            "--set", "drift_method=triad_sum",
+        ],
+        (1,),
+    ),
+    "cauchy": (["cauchy", "--set", "levels=2,3", "--set", "ensemble=8"], (1, 2)),
+    "continuity": (
+        ["continuity", "--set", "ensemble=8", "--set", "dt=0.05", "--set", "t_final=0.1"],
+        (1, 2),
+    ),
+}
+
+
+def determinism_hash(argv: list[str], threads: int, out: Path) -> str:
+    code = main([*argv, "--seed", str(SEED), "--threads", str(threads), "--out", str(out)])
+    assert code in (EXIT_PASS, EXIT_VERDICT), f"{argv} exited {code}"
+    return json.loads((out / "manifest.json").read_text())["determinism_hash"]
+
+
+@pytest.mark.parametrize(
+    "name,threads",
+    [(name, threads) for name, (_, counts) in CASES.items() for threads in counts],
+)
+def test_determinism_hash_is_golden(name, threads, tmp_path):
+    expected = json.loads(GOLDEN.read_text())[name]
+    assert determinism_hash(CASES[name][0], threads, tmp_path) == expected
+
+
+def test_fixture_covers_every_case():
+    assert set(json.loads(GOLDEN.read_text())) == set(CASES)
+
+
+if __name__ == "__main__":
+    hashes = {}
+    for name, (argv, _) in CASES.items():
+        with tempfile.TemporaryDirectory() as out:
+            hashes[name] = determinism_hash(argv, 1, Path(out))
+    GOLDEN.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(GOLDEN.read_text())

@@ -3,6 +3,7 @@ and the four Monte Carlo experiments."""
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,13 +14,12 @@ from scipy.stats import chi2 as scipy_chi2
 from scipy.stats import ks_2samp, kstest
 
 from eulergibbs.drift import TRIAD_SUM
-from eulergibbs.flow import IntegrationError, IntegratorConfig
+from eulergibbs.flow import IntegrationError, IntegratorConfig, map_row_blocks
 from eulergibbs.gibbs import GibbsParams, RngStream, coupled_dyadic_matrices
 from eulergibbs.harness import (
     ObservableSpec,
     _child,
     _perturbation_direction,
-    _threaded_blocks,
     cauchy_scan,
     chi_square_uniform,
     continuity_probe,
@@ -340,7 +340,7 @@ class TestRunInvariance:
         )
         first = run_invariance(*args)
         second = run_invariance(*args)
-        assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
+        assert json.dumps(asdict(first)) == json.dumps(asdict(second))
         assert first.manifest["generator"].startswith("philox")
 
     def test_mass_integration_failure_aborts(self):
@@ -417,9 +417,7 @@ class TestMomentScan:
         assert report.cutoffs == ((2, 2), (3, 3), (4, 4))
         with pytest.raises(KeyError):
             report.series_for(-3.0, 1.0)
-        payload = report.to_dict()
-        assert json.dumps(payload)
-        assert len(report.csv_rows()) == len(report.rows)
+        assert json.dumps(asdict(report))
 
     def test_thread_count_does_not_change_output(self):
         args = (
@@ -432,7 +430,7 @@ class TestMomentScan:
         kwargs = {"cutoffs": ((2, 2), (3, 3)), "drift_method": TRIAD_SUM}
         lone = moment_scan(*args, threads=1, **kwargs)
         pooled = moment_scan(*args, threads=3, **kwargs)
-        assert json.dumps(lone.to_dict()) == json.dumps(pooled.to_dict())
+        assert json.dumps(asdict(lone)) == json.dumps(asdict(pooled))
 
     def test_backends_agree(self):
         args = (
@@ -466,19 +464,19 @@ class TestCauchyScan:
         assert all(r.mean_sq_distance > 0.0 for r in first.rows)
         assert all(r.se >= 0.0 for r in first.rows)
         assert isinstance(first.strictly_decreasing, bool)
-        assert json.dumps(first.to_dict()) == json.dumps(second.to_dict())
+        assert json.dumps(asdict(first)) == json.dumps(asdict(second))
 
     def test_thread_count_does_not_change_output(self):
         args = ([1, 2], -1.5, 7, RngStream(13, 4))
         kwargs = {"level_max": 2, "points_per_unit": 8}
         lone = cauchy_scan(*args, threads=1, **kwargs)
         pooled = cauchy_scan(*args, threads=3, **kwargs)
-        assert json.dumps(lone.to_dict()) == json.dumps(pooled.to_dict())
+        assert json.dumps(asdict(lone)) == json.dumps(asdict(pooled))
 
     def test_default_quadrature_identical_across_threads(self):
         # level_max = 4, points_per_unit = 64: the quadrature the CLI runs
         args = ([1, 2, 3], -1.5, 6, RngStream(14, 4))
-        dumps = {json.dumps(cauchy_scan(*args, threads=t).to_dict()) for t in (1, 2, 3)}
+        dumps = {json.dumps(asdict(cauchy_scan(*args, threads=t))) for t in (1, 2, 3)}
         assert len(dumps) == 1
 
     @staticmethod
@@ -504,10 +502,10 @@ class TestCauchyScan:
         pairs = [(_embed(c, f.cutoff, ratio=2), f) for c, f in self.coupled_pairs(2, 9)]
         alone = np.array([local_distance(f, g, -1.5, 4) for f, g in reversed(pairs)])[::-1]
 
-        def block(index: np.ndarray) -> np.ndarray:
-            return np.array([local_distance(*pairs[i], -1.5, 4) for i in index])
+        def block(lo: int, hi: int) -> np.ndarray:
+            return np.array([local_distance(*pairs[i], -1.5, 4) for i in range(lo, hi)])
 
-        pooled = _threaded_blocks(block, np.arange(len(pairs)), 3)
+        pooled = np.concatenate(map_row_blocks(block, len(pairs), 3))
         assert np.array_equal(alone, pooled)
 
     def test_validation(self):
@@ -559,7 +557,7 @@ class TestContinuityProbe:
         kwargs = {"level_max": 2, "points_per_unit": 8}
         report = continuity_probe(*args, **kwargs)
         again = continuity_probe(*args, **kwargs)
-        assert json.dumps(report.to_dict()) == json.dumps(again.to_dict())
+        assert json.dumps(asdict(report)) == json.dumps(asdict(again))
         assert all(r.input_distance > 0.0 for r in report.rows)
         assert all(r.surviving == 4 for r in report.rows)
         assert report.monotone_in_delta
@@ -571,12 +569,12 @@ class TestContinuityProbe:
         kwargs = {"level_max": 2, "points_per_unit": 8}
         lone = continuity_probe(*args, threads=1, **kwargs)
         pooled = continuity_probe(*args, threads=3, **kwargs)
-        assert json.dumps(lone.to_dict()) == json.dumps(pooled.to_dict())
+        assert json.dumps(asdict(lone)) == json.dumps(asdict(pooled))
 
     def test_default_quadrature_identical_across_threads(self):
         cfg = IntegratorConfig(scheme="rk4", dt=0.05, t_final=0.05)
         args = (self.params(), cfg, [1e-2, 1e-1], 6, RngStream(24, 6))
-        dumps = {json.dumps(continuity_probe(*args, threads=t).to_dict()) for t in (1, 2, 3)}
+        dumps = {json.dumps(asdict(continuity_probe(*args, threads=t))) for t in (1, 2, 3)}
         assert len(dumps) == 1
 
     def test_validation(self):
