@@ -8,10 +8,14 @@ digests, and a determinism hash over the payload bytes of every output file
 (the manifest itself, which carries wall-clock timestamps, is excluded).
 Nothing that affects numerics is read from the clock or the environment, so
 a (config, seed) pair reproduces every payload byte for byte at any thread
-count.
+count. The four report subcommands write the report's own dataclass fields
+and verdicts; the CLI decides no verdict itself.
 
-Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 config error,
-3 numeric failure inside the integrator.
+Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 config error (a bad
+key or value, --threads < 1, an unreadable initial field, or an argument the
+library rejects), 3 numeric failure inside the integrator. Once --out is a
+usable directory every run writes manifest.json; a failed run's manifest
+records the error, passed false and no outputs.
 """
 
 from __future__ import annotations
@@ -49,10 +53,6 @@ from .gibbs import (
     variance_oracle,
 )
 from .harness import (
-    CAUCHY_SCHEMA,
-    CONTINUITY_SCHEMA,
-    INVARIANCE_SCHEMA,
-    MOMENTS_SCHEMA,
     cauchy_scan,
     continuity_probe,
     default_observables,
@@ -68,9 +68,6 @@ EXIT_VERDICT = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-SUBCOMMANDS = ("sample", "evolve", "invariance", "moments", "cauchy", "continuity")
-STREAM_IDS = {name: index for index, name in enumerate(SUBCOMMANDS)}
-
 
 class ConfigError(Exception):
     """A malformed, unknown, or out-of-range configuration value."""
@@ -82,9 +79,12 @@ class ConfigError(Exception):
 
 def _float_value(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"not a finite number: {text!r}")
+    return value
 
 
 def _number(
@@ -154,25 +154,9 @@ def _cutoff_pair(text: str) -> tuple[int, int]:
     return (values[0], values[1])
 
 
-def _number_list(minimum: float | None = None, exclusive: bool = False) -> Callable[[str], tuple[float, ...]]:
-    inner = _number(minimum, exclusive)
-
-    def convert(text: str) -> tuple[float, ...]:
+def _list(inner: Callable[[str], object], min_items: int = 1) -> Callable[[str], tuple]:
+    def convert(text: str) -> tuple:
         parts = [part.strip() for part in text.split(",") if part.strip()]
-        if not parts:
-            raise ConfigError("list value must be nonempty")
-        return tuple(inner(part) for part in parts)
-
-    return convert
-
-
-def _integer_list(minimum: int, min_items: int = 1) -> Callable[[str], tuple[int, ...]]:
-    inner = _integer(minimum)
-
-    def convert(text: str) -> tuple[int, ...]:
-        parts = [part.strip() for part in text.split(",") if part.strip()]
-        if not parts:
-            raise ConfigError("list value must be nonempty")
         if len(parts) < min_items:
             raise ConfigError(f"need at least {min_items} values, got {len(parts)}")
         return tuple(inner(part) for part in parts)
@@ -245,13 +229,13 @@ CONFIG_SCHEMAS: dict[str, dict[str, Option]] = {
         "gamma": _GIBBS_KEYS["gamma"],
         "period": _GIBBS_KEYS["period"],
         "cutoffs": Option(
-            _integer_list(1, min_items=2),
+            _list(_integer(1), min_items=2),
             (4, 6, 8, 10, 12),
             "square cutoff ladder N,N,... (at least two)",
         ),
-        "betas": Option(_number_list(), (-2.0, -1.5, -0.9), "Sobolev orders to scan"),
+        "betas": Option(_list(_number()), (-2.0, -1.5, -0.9), "Sobolev orders to scan"),
         "exponents": Option(
-            _number_list(0.0, exclusive=True), (1.0,), "norm-square powers q"
+            _list(_number(0.0, exclusive=True)), (1.0,), "norm-square powers q"
         ),
         "ensemble": Option(_integer(2), 400, "samples per cutoff"),
         "stability_tol": Option(
@@ -269,7 +253,7 @@ CONFIG_SCHEMAS: dict[str, dict[str, Option]] = {
     "cauchy": {
         "gamma": _GIBBS_KEYS["gamma"],
         "order": Option(_number(below=1.0), -1.5, "Sobolev order of the local metric (< 1)"),
-        "levels": Option(_integer_list(1), (2, 3, 4), "dyadic levels n to compare"),
+        "levels": Option(_list(_integer(1)), (2, 3, 4), "dyadic levels n to compare"),
         "ensemble": Option(_integer(2), 500, "coupled pairs per level"),
         "modes_per_unit": Option(_integer(1), 1, "resolved modes per unit length"),
         "level_max": Option(_integer(1), 4, "largest metric window"),
@@ -283,7 +267,7 @@ CONFIG_SCHEMAS: dict[str, dict[str, Option]] = {
         **_INTEGRATOR_KEYS,
         "dt": Option(_number(0.0, exclusive=True), 1e-2, "step size"),
         "t_final": Option(_number(), 0.5, "integration horizon (sign sets direction)"),
-        "deltas": Option(_number_list(0.0), (0.1, 0.01, 0.001), "perturbation sizes"),
+        "deltas": Option(_list(_number(0.0)), (0.1, 0.01, 0.001), "perturbation sizes"),
         "ensemble": Option(_integer(2), 200, "base points per delta"),
         "order": Option(_number(), -1.5, "Sobolev order of the local metric"),
         "level_max": Option(_integer(1), 4, "largest metric window"),
@@ -380,11 +364,6 @@ def _csv_bytes(fieldnames: Sequence[str], rows: Sequence[dict]) -> bytes:
     return buffer.getvalue().encode()
 
 
-def _report_json(report, schema: str, **extra) -> bytes:
-    """A report's JSON payload: its dataclass fields plus the schema tag and extra keys."""
-    return _json_bytes({"schema": schema, **asdict(report), **extra})
-
-
 def _report_csv(rows: Sequence) -> bytes:
     """A report's summary CSV: one column per row field, a pair field split into name1, name2."""
     records = []
@@ -409,26 +388,33 @@ class CommandResult:
     notes: list[str] = dataclass_field(default_factory=list)
 
 
-def _integrator_config(config: dict, **extra) -> IntegratorConfig:
-    return IntegratorConfig(
-        scheme=config["scheme"],
-        dt=config["dt"],
-        t_final=config["t_final"],
-        fixed_point_tol=config["fixed_point_tol"],
-        max_fixed_point_iters=config["max_fixed_point_iters"],
-        drift_method=config["drift_method"],
-        grid=config["grid"],
-        **extra,
+def _report_result(report, rows: Sequence, measurements: dict, **extra) -> CommandResult:
+    """report.json (the report's fields, its schema tag and extra keys) plus
+    summary.csv (one line per row), carrying the report's own verdicts."""
+    schema = report.manifest["schema"]
+    return CommandResult(
+        outputs={
+            "report.json": _json_bytes({"schema": schema, **asdict(report), **extra}),
+            "summary.csv": _report_csv(rows),
+        },
+        verdicts=dict(report.verdicts),
+        schemas={"report": schema},
+        measurements=measurements,
     )
+
+
+def _from_config(cls, config: dict, **extra):
+    """An instance of the dataclass cls built from the config keys named like its fields."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{key: value for key, value in config.items() if key in names}, **extra)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_sample(config: dict, seed: int, threads: int) -> CommandResult:
-    p = GibbsParams(config["gamma"], config["period"], config["cutoff"])
-    rng = RngStream(seed, STREAM_IDS["sample"])
+def _cmd_sample(config: dict, rng: RngStream, threads: int) -> CommandResult:
+    p = _from_config(GibbsParams, config)
     matrix = sample_coeff_matrix(p, rng, config["count"])
     rows = [
         {
@@ -460,17 +446,7 @@ def _cmd_sample(config: dict, seed: int, threads: int) -> CommandResult:
     return CommandResult(
         outputs={
             "ensemble.jsonl": _jsonl_bytes(rows),
-            "per_mode_stats.csv": _csv_bytes(
-                (
-                    "k1",
-                    "k2",
-                    "variance_oracle",
-                    "empirical_variance",
-                    "rel_error",
-                    "fourth_moment_ratio",
-                ),
-                stats_rows,
-            ),
+            "per_mode_stats.csv": _csv_bytes(list(stats_rows[0]), stats_rows),
         },
         schemas={"ensemble": ENSEMBLE_SCHEMA, "field": FIELD_SCHEMA},
         measurements={
@@ -481,8 +457,7 @@ def _cmd_sample(config: dict, seed: int, threads: int) -> CommandResult:
 
 def _load_initial_field(config: dict, rng: RngStream) -> SpectralField:
     if config["initial"] == "gibbs":
-        p = GibbsParams(config["gamma"], config["period"], config["cutoff"])
-        return sample(p, rng, index=config["sample_index"])
+        return sample(_from_config(GibbsParams, config), rng, index=config["sample_index"])
     path = Path(config["initial"])
     try:
         record = json.loads(path.read_text())
@@ -496,10 +471,9 @@ def _load_initial_field(config: dict, rng: RngStream) -> SpectralField:
         raise ConfigError(f"bad field record in {path}: {exc}") from exc
 
 
-def _cmd_evolve(config: dict, seed: int, threads: int) -> CommandResult:
-    rng = RngStream(seed, STREAM_IDS["evolve"])
+def _cmd_evolve(config: dict, rng: RngStream, threads: int) -> CommandResult:
     initial = _load_initial_field(config, rng)
-    cfg = _integrator_config(config, snapshot_stride=config["snapshot_stride"])
+    cfg = _from_config(IntegratorConfig, config)
     trajectory = evolve(initial, cfg)
 
     verdicts: dict[str, bool] = {}
@@ -523,142 +497,83 @@ def _cmd_evolve(config: dict, seed: int, threads: int) -> CommandResult:
     )
 
 
-def _cmd_invariance(config: dict, seed: int, threads: int) -> CommandResult:
-    p = GibbsParams(config["gamma"], config["period"], config["cutoff"])
-    cfg = _integrator_config(config)
+def _cmd_invariance(config: dict, rng: RngStream, threads: int) -> CommandResult:
+    p = _from_config(GibbsParams, config)
     report = run_invariance(
         p,
-        cfg,
+        _from_config(IntegratorConfig, config),
         default_observables(p.cutoff),
         config["ensemble"],
-        RngStream(seed, STREAM_IDS["invariance"]),
+        rng,
         alpha=config["alpha"],
         pass_fraction=config["pass_fraction"],
         mean_se_factor=config["mean_se_factor"],
         failure_tol=config["failure_tol"],
         threads=threads,
     )
-    return CommandResult(
-        outputs={
-            "report.json": _report_json(report, INVARIANCE_SCHEMA, passed=report.passed),
-            "summary.csv": _report_csv(report.observables),
-        },
-        verdicts=dict(report.verdicts),
-        schemas={"report": INVARIANCE_SCHEMA},
-        measurements={
-            "marginal_pass_rate": report.marginal_pass_rate,
-            "surviving": report.surviving,
-            "energy_drift_max": report.energy_drift_max,
-            "enstrophy_drift_max": report.enstrophy_drift_max,
-        },
-    )
+    measurements = {
+        "marginal_pass_rate": report.marginal_pass_rate,
+        "surviving": report.surviving,
+        "energy_drift_max": report.energy_drift_max,
+        "enstrophy_drift_max": report.enstrophy_drift_max,
+    }
+    return _report_result(report, report.observables, measurements, passed=report.passed)
 
 
-def _moment_expectation(expect: str, order: float) -> str:
-    if expect == "auto":
-        return "stable" if order < -1.0 else "divergent"
-    return expect
-
-
-def _cmd_moments(config: dict, seed: int, threads: int) -> CommandResult:
+def _cmd_moments(config: dict, rng: RngStream, threads: int) -> CommandResult:
     ladder = tuple((n, n) for n in config["cutoffs"])
-    p = GibbsParams(config["gamma"], config["period"], ladder[0])
     report = moment_scan(
-        p,
+        _from_config(GibbsParams, config, cutoff=ladder[0]),
         config["betas"],
         config["exponents"],
         config["ensemble"],
-        RngStream(seed, STREAM_IDS["moments"]),
+        rng,
         cutoffs=ladder,
         stability_tol=config["stability_tol"],
         drift_method=config["drift_method"],
+        expect=config["expect"],
         threads=threads,
     )
-
-    verdicts: dict[str, bool] = {}
-    signature: list[str] = []
-    for series in report.series:
-        label = f"beta={series.order:g},q={series.exponent:g}"
-        expected = _moment_expectation(config["expect"], series.order)
-        if expected == "stable":
-            verdicts[f"stable[{label}]"] = series.stable_tail
-            if not series.stable_tail and series.strictly_increasing:
-                signature.append(label)
-        elif expected == "divergent":
-            verdicts[f"divergent[{label}]"] = series.strictly_increasing
-
-    return CommandResult(
-        outputs={
-            "report.json": _report_json(
-                report,
-                MOMENTS_SCHEMA,
-                expect=config["expect"],
-                verdicts=verdicts,
-                divergence_signature=signature,
-            ),
-            "summary.csv": _report_csv(report.rows),
-        },
-        verdicts=verdicts,
-        schemas={"report": MOMENTS_SCHEMA},
-        notes=[f"divergence signature: {label}" for label in signature],
-    )
+    result = _report_result(report, report.rows, {})
+    result.notes = [f"divergence signature: {label}" for label in report.divergence_signature]
+    return result
 
 
-def _cmd_cauchy(config: dict, seed: int, threads: int) -> CommandResult:
+def _cmd_cauchy(config: dict, rng: RngStream, threads: int) -> CommandResult:
     report = cauchy_scan(
         config["levels"],
         config["order"],
         config["ensemble"],
-        RngStream(seed, STREAM_IDS["cauchy"]),
+        rng,
         gamma=config["gamma"],
         modes_per_unit=config["modes_per_unit"],
         level_max=config["level_max"],
         points_per_unit=config["points_per_unit"],
+        expect=config["expect"],
         threads=threads,
     )
-    verdicts: dict[str, bool] = {}
-    if config["expect"] == "decreasing":
-        verdicts["strictly_decreasing"] = report.strictly_decreasing
-    return CommandResult(
-        outputs={
-            "report.json": _report_json(report, CAUCHY_SCHEMA, verdicts=verdicts),
-            "summary.csv": _report_csv(report.rows),
-        },
-        verdicts=verdicts,
-        schemas={"report": CAUCHY_SCHEMA},
-        measurements={
-            "mean_sq_distances": [row.mean_sq_distance for row in report.rows]
-        },
-    )
+    measurements = {"mean_sq_distances": [row.mean_sq_distance for row in report.rows]}
+    return _report_result(report, report.rows, measurements)
 
 
-def _cmd_continuity(config: dict, seed: int, threads: int) -> CommandResult:
-    p = GibbsParams(config["gamma"], config["period"], config["cutoff"])
-    cfg = _integrator_config(config)
+def _cmd_continuity(config: dict, rng: RngStream, threads: int) -> CommandResult:
     report = continuity_probe(
-        p,
-        cfg,
+        _from_config(GibbsParams, config),
+        _from_config(IntegratorConfig, config),
         config["deltas"],
         config["ensemble"],
-        RngStream(seed, STREAM_IDS["continuity"]),
+        rng,
         order=config["order"],
         level_max=config["level_max"],
         points_per_unit=config["points_per_unit"],
         ratio_tol=config["ratio_tol"],
         threads=threads,
     )
-    verdicts = {"ratio_stabilizes": report.ratio_stabilizes}
-    return CommandResult(
-        outputs={
-            "report.json": _report_json(report, CONTINUITY_SCHEMA, verdicts=verdicts),
-            "summary.csv": _report_csv(report.rows),
-        },
-        verdicts=verdicts,
-        schemas={"report": CONTINUITY_SCHEMA},
-        measurements={"median_ratios": [row.median_ratio for row in report.rows]},
-    )
+    measurements = {"median_ratios": [row.median_ratio for row in report.rows]}
+    return _report_result(report, report.rows, measurements)
 
 
+# a subcommand's position here is the stream id of its RngStream
 COMMANDS = {
     "sample": _cmd_sample,
     "evolve": _cmd_evolve,
@@ -721,7 +636,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {VERSION}")
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in COMMANDS:
         sub = subparsers.add_parser(name, help=f"run the {name} experiment")
         sub.add_argument("--config", help="flat key=value config file")
         sub.add_argument("--seed", type=int, required=True, help="master seed (mandatory)")
@@ -754,52 +669,33 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.describe_config:
         print(_describe_config(args.subcommand))
         return EXIT_PASS
-    if args.threads < 1:
-        print("config error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        config = resolve_config(args.subcommand, args.config, args.set)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
     out_dir = Path(args.out)
-    if out_dir.exists() and not out_dir.is_dir():
-        print(f"config error: --out {out_dir} exists and is not a directory", file=sys.stderr)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: cannot use --out {out_dir}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    out_dir.mkdir(parents=True, exist_ok=True)
 
-    started = _utc_now()
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "subcommand": args.subcommand,
-        "config": config,
+        "config": None,
         "seed": args.seed,
         "threads": args.threads,
         "version": VERSION,
         "generator": GENERATOR_NAME,
-        "started": started,
+        "started": _utc_now(),
     }
+    error: Exception | None = None
     try:
-        result = COMMANDS[args.subcommand](config, args.seed, args.threads)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except IntegrationError as exc:
-        manifest.update(
-            {
-                "error": str(exc),
-                "outputs": [],
-                "determinism_hash": _determinism_hash({}),
-                "verdicts": {},
-                "passed": False,
-                "finished": _utc_now(),
-            }
-        )
-        (out_dir / "manifest.json").write_bytes(_json_bytes(manifest))
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        manifest["config"] = resolve_config(args.subcommand, args.config, args.set)
+        if args.threads < 1:
+            raise ConfigError("--threads must be >= 1")
+        rng = RngStream(args.seed, list(COMMANDS).index(args.subcommand))
+        result = COMMANDS[args.subcommand](manifest["config"], rng, args.threads)
+    except (ConfigError, ValueError, IntegrationError) as exc:
+        error, result = exc, CommandResult(outputs={})
 
     manifest.update(
         {
@@ -807,20 +703,28 @@ def main(argv: Sequence[str] | None = None) -> int:
             "outputs": _write_outputs(out_dir, result.outputs),
             "determinism_hash": _determinism_hash(result.outputs),
             "verdicts": result.verdicts,
-            "passed": all(result.verdicts.values()),
+            "passed": error is None and all(result.verdicts.values()),
             "measurements": result.measurements,
             "finished": _utc_now(),
         }
     )
+    if error is not None:
+        manifest["error"] = str(error)
     (out_dir / "manifest.json").write_bytes(_json_bytes(manifest))
 
+    if isinstance(error, IntegrationError):
+        print(f"numeric failure: {error}", file=sys.stderr)
+        return EXIT_NUMERIC
+    if error is not None:
+        print(f"config error: {error}", file=sys.stderr)
+        return EXIT_CONFIG
     for name, ok in result.verdicts.items():
         print(f"[{'PASS' if ok else 'FAIL'}] {name}")
     for note in result.notes:
         print(note)
     print(f"wrote {len(result.outputs) + 1} files to {out_dir}")
     print(f"determinism sha256: {manifest['determinism_hash']}")
-    return EXIT_PASS if all(result.verdicts.values()) else EXIT_VERDICT
+    return EXIT_PASS if manifest["passed"] else EXIT_VERDICT
 
 
 def main_entry() -> None:

@@ -233,7 +233,6 @@ def observable_values(
     spec: ObservableSpec, coeffs: np.ndarray, period: float, cutoff: Mode
 ) -> np.ndarray:
     """Evaluate one observable over every row of a coefficient matrix."""
-    abs_sq = coeffs.real**2 + coeffs.imag**2
     if spec.kind.startswith("coeff_"):
         index = mode_index(cutoff)
         if spec.mode not in index:
@@ -244,6 +243,7 @@ def observable_values(
         if spec.kind == "coeff_imag":
             return np.ascontiguousarray(column.imag)
         return np.ascontiguousarray(column.real**2 + column.imag**2)
+    abs_sq = coeffs.real**2 + coeffs.imag**2
     if spec.kind == "energy":
         weights = _sobolev_weights(period, cutoff, 1.0)
         return np.einsum("sm,m->s", abs_sq, weights, optimize=False)
@@ -465,11 +465,18 @@ class MomentSeries:
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Estimates of E ||B(Phi)||_{H^beta}^(2 exponent) across a cutoff ladder."""
+    """Estimates of E ||B(Phi)||_{H^beta}^(2 exponent) across a cutoff ladder.
+
+    divergence_signature labels the series expected stable that instead grew
+    strictly across the whole ladder.
+    """
 
     rows: tuple[MomentRow, ...]
     series: tuple[MomentSeries, ...]
     cutoffs: tuple[Mode, ...]
+    expect: str
+    verdicts: dict
+    divergence_signature: tuple[str, ...]
     manifest: dict
 
     def series_for(self, order: float, exponent: float) -> MomentSeries:
@@ -489,6 +496,7 @@ def moment_scan(
     cutoffs: Sequence[Sequence[int]] = DEFAULT_MOMENT_CUTOFFS,
     stability_tol: float = 0.05,
     drift_method: str = PSEUDO_SPECTRAL,
+    expect: str = "auto",
     threads: int = 1,
 ) -> MomentReport:
     """Estimate drift moments E ||B||_{H^beta}^(2q) on a growing cutoff ladder.
@@ -496,7 +504,9 @@ def moment_scan(
     p fixes gamma and the period; its own cutoff is ignored in favor of the
     ladder. The counter-keyed sampler gives every ladder rung the same draw
     for every shared mode, so successive estimates differ only by the new
-    shell contributions (common random numbers).
+    shell contributions (common random numbers). expect picks each series'
+    verdict: "stable" (tail change below stability_tol), "divergent"
+    (strictly increasing), "none", or "auto" (stable iff beta < -1).
     """
     ensemble_size = int(ensemble_size)
     if ensemble_size < 2:
@@ -506,6 +516,8 @@ def moment_scan(
     ladder = tuple((int(c[0]), int(c[1])) for c in cutoffs)
     if len(ladder) < 2:
         raise ValueError("need at least two cutoffs to compare")
+    if expect not in ("auto", "stable", "divergent", "none"):
+        raise ValueError(f"expect must be auto, stable, divergent or none, got {expect!r}")
     stream = _child(rng, STREAM_MOMENTS)
 
     rows: list[MomentRow] = []
@@ -533,18 +545,29 @@ def moment_scan(
                 means[(b, q)].append(mean)
 
     series = []
+    verdicts: dict[str, bool] = {}
+    signature: list[str] = []
     for (b, q), sequence in means.items():
         tail_change = abs(sequence[-1] - sequence[-2]) / max(abs(sequence[-2]), 1e-300)
-        diffs = np.diff(sequence)
+        stable = bool(tail_change < stability_tol)
+        increasing = bool(np.all(np.diff(sequence) > 0.0))
         series.append(
             MomentSeries(
                 order=b,
                 exponent=q,
                 means=tuple(sequence),
-                stable_tail=bool(tail_change < stability_tol),
-                strictly_increasing=bool(np.all(diffs > 0.0)),
+                stable_tail=stable,
+                strictly_increasing=increasing,
             )
         )
+        label = f"beta={b:g},q={q:g}"
+        expected = ("stable" if b < -1.0 else "divergent") if expect == "auto" else expect
+        if expected == "stable":
+            verdicts[f"stable[{label}]"] = stable
+            if not stable and increasing:
+                signature.append(label)
+        elif expected == "divergent":
+            verdicts[f"divergent[{label}]"] = increasing
 
     manifest = {
         "schema": MOMENTS_SCHEMA,
@@ -557,7 +580,15 @@ def moment_scan(
         "stability_tol": stability_tol,
         **_provenance(rng),
     }
-    return MomentReport(rows=tuple(rows), series=tuple(series), cutoffs=ladder, manifest=manifest)
+    return MomentReport(
+        rows=tuple(rows),
+        series=tuple(series),
+        cutoffs=ladder,
+        expect=expect,
+        verdicts=verdicts,
+        divergence_signature=tuple(signature),
+        manifest=manifest,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -578,11 +609,8 @@ class CauchyReport:
     rows: tuple[CauchyRow, ...]
     order: float
     strictly_decreasing: bool
+    verdicts: dict
     manifest: dict
-
-    @property
-    def passed(self) -> bool:
-        return self.strictly_decreasing
 
 
 def cauchy_scan(
@@ -595,6 +623,7 @@ def cauchy_scan(
     modes_per_unit: int = 1,
     level_max: int = 4,
     points_per_unit: int = 64,
+    expect: str = "decreasing",
     threads: int = 1,
 ) -> CauchyReport:
     """Monte Carlo E d^2 between coupled consecutive dyadic levels 2^n, 2^(n+1).
@@ -605,6 +634,8 @@ def cauchy_scan(
     common observation square [0, level_max]^2. Each coarse field is embedded
     exactly onto the fine torus (mode k -> 2k, coefficient times 2, the same
     function and derivative symbol), so a pair costs one local_distance.
+    expect "decreasing" makes strictly decreasing E d^2 the verdict; "none"
+    reports without one.
     """
     order = float(order)
     if not order < 1.0:
@@ -617,6 +648,8 @@ def cauchy_scan(
         raise ValueError("need at least one level")
     if min(levels) < 1:
         raise ValueError("levels must be >= 1 so the coarse period is at least 2")
+    if expect not in ("decreasing", "none"):
+        raise ValueError(f"expect must be decreasing or none, got {expect!r}")
     stream = _child(rng, STREAM_DYADIC)
 
     rows: list[CauchyRow] = []
@@ -648,7 +681,7 @@ def cauchy_scan(
         rows.append(CauchyRow(level=n, mean_sq_distance=mean, se=se))
 
     by_level = sorted(rows, key=lambda r: r.level)
-    decreasing = all(
+    decreasing = len(by_level) > 1 and all(
         earlier.mean_sq_distance > later.mean_sq_distance
         for earlier, later in zip(by_level, by_level[1:])
     )
@@ -666,7 +699,8 @@ def cauchy_scan(
     return CauchyReport(
         rows=tuple(rows),
         order=order,
-        strictly_decreasing=decreasing and len(by_level) > 1,
+        strictly_decreasing=decreasing,
+        verdicts={"strictly_decreasing": decreasing} if expect == "decreasing" else {},
         manifest=manifest,
     )
 
@@ -692,11 +726,8 @@ class ContinuityReport:
     order: float
     ratio_stabilizes: bool
     monotone_in_delta: bool
+    verdicts: dict
     manifest: dict
-
-    @property
-    def passed(self) -> bool:
-        return self.ratio_stabilizes
 
 
 def _perturbation_direction(p: GibbsParams, order: float) -> np.ndarray:
@@ -813,5 +844,6 @@ def continuity_probe(
         order=order,
         ratio_stabilizes=stabilizes,
         monotone_in_delta=monotone,
+        verdicts={"ratio_stabilizes": stabilizes},
         manifest=manifest,
     )

@@ -81,6 +81,16 @@ class TestConfigGrammar:
             resolve_config("evolve", None, ["round_trip=maybe"])
         assert resolve_config("evolve", None, ["grid=none"])["grid"] is None
         assert resolve_config("evolve", None, ["grid=16"])["grid"] == 16
+        # no config key has a use for NaN or an infinity
+        for subcommand, item in (
+            ("moments", "betas=nan"),
+            ("evolve", "t_final=nan"),
+            ("evolve", "dt=inf"),
+            ("sample", "period=inf"),
+            ("continuity", "deltas=0.1,-inf"),
+        ):
+            with pytest.raises(ConfigError, match="not a finite number"):
+                resolve_config(subcommand, None, [item])
 
     def test_exit_codes_for_config_errors(self, tmp_path):
         out = str(tmp_path / "out")
@@ -108,6 +118,48 @@ class TestConfigGrammar:
         assert "'cutoffs'" in capsys.readouterr().err
         assert not (out / "report.json").exists()
         assert resolve_config("moments", None, ["cutoffs=4,6"])["cutoffs"] == (4, 6)
+
+    @pytest.mark.parametrize(
+        "argv, resolved",
+        [
+            pytest.param(["sample", "--set", "period=inf"], False, id="sample-period-inf"),
+            pytest.param(["sample", "--threads", "0"], True, id="sample-threads-0"),
+            pytest.param(
+                ["evolve", "--set", "drift_method=pseudo_spectral", "--set", "grid=8"],
+                True,
+                id="evolve-grid-too-coarse",
+            ),
+            pytest.param(["evolve", "--set", "t_final=nan"], False, id="evolve-t_final-nan"),
+            pytest.param(
+                ["invariance", "--set", "drift_method=pseudo_spectral", "--set", "grid=8"],
+                True,
+                id="invariance-grid-too-coarse",
+            ),
+            pytest.param(["moments", "--set", "betas=nan"], False, id="moments-betas-nan"),
+            pytest.param(["cauchy", "--set", "order=1"], False, id="cauchy-order-1"),
+            pytest.param(["continuity", "--set", "bogus=1"], False, id="continuity-unknown-key"),
+        ],
+    )
+    def test_config_failure_writes_a_manifest(self, tmp_path, capsys, argv, resolved):
+        # schema errors and the library's own argument checks both exit 2
+        out = tmp_path / "out"
+        assert main([*argv, "--seed", "1", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
+        assert [path.name for path in out.iterdir()] == ["manifest.json"]
+        manifest = read_json(out / "manifest.json")
+        assert manifest["error"]
+        assert manifest["passed"] is False
+        assert manifest["outputs"] == []
+        assert manifest["subcommand"] == argv[0]
+        assert (manifest["config"] is not None) == resolved
+
+    def test_unusable_out_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert main(["sample", "--seed", "1", "--out", str(out)]) == EXIT_CONFIG
+        assert "--out" in capsys.readouterr().err
 
     def test_missing_required_flags_exit_nonzero(self):
         assert main(["sample"]) != EXIT_PASS
@@ -292,7 +344,7 @@ class TestEvolveCommand:
         assert manifest["verdicts"]["round_trip_return"] is True
         assert manifest["measurements"]["round_trip_error"] < 1e-6
 
-    def test_integrator_failure_exits_numeric(self, tmp_path):
+    def test_integrator_failure_exits_numeric(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(
             [
@@ -318,9 +370,15 @@ class TestEvolveCommand:
             ]
         )
         assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numeric failure" in err
+        assert "Traceback" not in err
         manifest = read_json(out / "manifest.json")
         assert manifest["passed"] is False
-        assert "error" in manifest
+        assert manifest["error"]
+        assert manifest["outputs"] == []
+        assert manifest["config"]["scheme"] == "implicit_midpoint"
+        assert not (out / "trajectory.jsonl").exists()
 
 
 class TestExperimentCommands:

@@ -452,6 +452,25 @@ class TestMomentScan:
             moment_scan(p, [-1.5], [1.0], 1, RngStream(1))
         with pytest.raises(ValueError, match="two cutoffs"):
             moment_scan(p, [-1.5], [1.0], 8, RngStream(1), cutoffs=((4, 4),))
+        with pytest.raises(ValueError, match="expect"):
+            moment_scan(p, [-1.5], [1.0], 8, RngStream(1), expect="bounded")
+
+    def test_verdicts_follow_the_expectation(self):
+        args = (GibbsParams(1.0, TWO_PI, (2, 2)), [-1.5, -0.9], [1.0], 12, RngStream(3))
+        kwargs = {"cutoffs": ((2, 2), (3, 3)), "drift_method": TRIAD_SUM}
+        auto = moment_scan(*args, **kwargs)
+        assert auto.verdicts == {
+            "stable[beta=-1.5,q=1]": auto.series_for(-1.5, 1.0).stable_tail,
+            "divergent[beta=-0.9,q=1]": auto.series_for(-0.9, 1.0).strictly_increasing,
+        }
+        stable = moment_scan(*args, expect="stable", **kwargs)
+        assert list(stable.verdicts) == ["stable[beta=-1.5,q=1]", "stable[beta=-0.9,q=1]"]
+        assert stable.divergence_signature == tuple(
+            f"beta={s.order:g},q=1"
+            for s in stable.series
+            if s.strictly_increasing and not s.stable_tail
+        )
+        assert moment_scan(*args, expect="none", **kwargs).verdicts == {}
 
 
 class TestCauchyScan:
@@ -517,6 +536,15 @@ class TestCauchyScan:
             cauchy_scan([], -1.5, 6, RngStream(1))
         with pytest.raises(ValueError, match="levels"):
             cauchy_scan([0, 1], -1.5, 6, RngStream(1))
+        with pytest.raises(ValueError, match="expect"):
+            cauchy_scan([1, 2], -1.5, 6, RngStream(1), expect="increasing")
+
+    def test_verdicts_follow_the_expectation(self):
+        args = ([1, 2], -1.5, 6, RngStream(12, 4))
+        kwargs = {"level_max": 2, "points_per_unit": 8}
+        report = cauchy_scan(*args, **kwargs)
+        assert report.verdicts == {"strictly_decreasing": report.strictly_decreasing}
+        assert cauchy_scan(*args, expect="none", **kwargs).verdicts == {}
 
 
 class TestContinuityProbe:
