@@ -24,6 +24,7 @@ import argparse
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -346,12 +347,45 @@ def _jsonable(value):
     return value
 
 
+_PLAIN_SCALARS = frozenset((str, int, float, bool, type(None)))
+_SEQUENCES = frozenset((list, tuple))
+
+
+def _str_keys(value) -> bool:
+    """True if no dict inside value has a key other than a str."""
+    if isinstance(value, dict):
+        return all(type(k) is str for k in value) and all(map(_str_keys, value.values()))
+    if isinstance(value, (list, tuple)):
+        kinds = set(map(type, value))
+        if kinds <= _PLAIN_SCALARS:
+            return True
+        if kinds <= _SEQUENCES:
+            # a list of rows is checked as one flat list, not row by row
+            return _str_keys(list(itertools.chain.from_iterable(value)))
+        return all(map(_str_keys, value))
+    return True
+
+
+def _dumps(value, indent: int | None = None) -> str:
+    """json.dumps of _jsonable(value), without the walk when it changes nothing.
+
+    Strict json.dumps raises on non-finite floats and numpy integers, and
+    non-str keys would sort before their conversion; only those take the walk.
+    """
+    if _str_keys(value):
+        try:
+            return json.dumps(value, indent=indent, sort_keys=True, allow_nan=False)
+        except (TypeError, ValueError):
+            pass
+    return json.dumps(_jsonable(value), indent=indent, sort_keys=True)
+
+
 def _json_bytes(payload: dict) -> bytes:
-    return (json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n").encode()
+    return (_dumps(payload, indent=2) + "\n").encode()
 
 
 def _jsonl_bytes(rows: Sequence[dict]) -> bytes:
-    lines = [json.dumps(_jsonable(row), sort_keys=True) for row in rows]
+    lines = [_dumps(row) for row in rows]
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -626,6 +660,14 @@ def _describe_config(subcommand: str) -> str:
     return "\n".join(lines)
 
 
+class _DescribeConfig(argparse.Action):
+    """Print the subcommand's config keys and exit 0, before the required flags are checked."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(_describe_config(self.const))
+        parser.exit(EXIT_PASS)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eulergibbs",
@@ -653,7 +695,9 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--describe-config",
-            action="store_true",
+            action=_DescribeConfig,
+            nargs=0,
+            const=name,
             help="print the config keys for this subcommand and exit",
         )
     return parser
@@ -665,10 +709,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-
-    if args.describe_config:
-        print(_describe_config(args.subcommand))
-        return EXIT_PASS
 
     out_dir = Path(args.out)
     try:

@@ -19,6 +19,10 @@ pair with the summed integer kernel (h^perp . k)(|j|^2 - |h|^2), which is
 (parallel modes, equal shells). A fixed-order sparse reduction then sums the
 pair products of each k. The other path is a zero-padded pseudo-spectral
 transform, an independent oracle evaluating the PDE right-hand side on a grid.
+It keeps only the n2 + 1 half-spectrum columns the box can reach and runs
+rows in chunks sized so one real grid field of a chunk fits a fixed byte
+budget; a cached plan per (period, cutoff, grid) holds the index maps and
+derivative symbols.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ from .spectral import (
 TRIAD_SUM = "triad_sum"
 PSEUDO_SPECTRAL = "pseudo_spectral"
 
-# rows per chunk of the pseudo-spectral drift
-_BATCH_CHUNK = 256
+# byte budget for one real grid field of a chunk in the pseudo-spectral drift
+_PSEUDO_FIELD_BYTES = 1 << 18
 
 # byte budget for one chunk of pair products in the triad drift
 _TRIAD_TERMS_BYTES = 1 << 20
@@ -185,58 +189,127 @@ def _check_grid(grid: int, cutoff: Mode) -> int:
     return grid
 
 
-def _pseudo_batch(coeffs: np.ndarray, period: float, cutoff: Mode, grid: int) -> np.ndarray:
-    out = np.empty_like(coeffs)
-    for lo in range(0, coeffs.shape[0], _BATCH_CHUNK):
-        out[lo : lo + _BATCH_CHUNK] = _pseudo_chunk(
-            coeffs[lo : lo + _BATCH_CHUNK], period, cutoff, grid
-        )
-    return out
+@dataclass(frozen=True)
+class _PseudoPlan:
+    """Read-only collocation plan for one (period, cutoff, grid).
 
-
-def _pseudo_chunk(coeffs: np.ndarray, period: float, cutoff: Mode, grid: int) -> np.ndarray:
-    """One chunk of the collocation oracle in the Hermitian half-spectrum.
-
-    The physical fields are real, so every transform runs through rfft2 and
-    irfft2 on columns 0..m//2. Boxed modes with k2 < 0 live in the dropped
-    half and are stored (and read back) through their conjugates; k2 = 0
-    modes need both Hermitian partners placed explicitly because only the
-    last axis's symmetry is implied by the layout.
+    The spectra keep only the last-axis columns 0..n2 the box can reach.
+    Modes direct (k2 >= 0) are placed as they are at the flat positions
+    put_direct of a (grid, n2 + 1) spectrum, and modes conj (k2 <= 0) are
+    placed conjugated at put_conj. The drift is read back from the full rfft2
+    half-spectrum at take_direct for the direct modes and, conjugated, at
+    take_conj for the modes neg (k2 < 0). The four derivative symbols are
+    pruned to the same columns.
     """
-    m = _check_grid(grid, cutoff)
+
+    width: int
+    direct: np.ndarray
+    put_direct: np.ndarray
+    conj: np.ndarray
+    put_conj: np.ndarray
+    take_direct: np.ndarray
+    neg: np.ndarray
+    take_conj: np.ndarray
+    symbols: tuple[np.ndarray, ...]
+    lap_box: np.ndarray
+    scale: float
+    norm: float
+
+
+@lru_cache(maxsize=None)
+def _pseudo_plan(period: float, cutoff: Mode, m: int) -> _PseudoPlan:
     length = float(period)
     k1, k2 = mode_arrays(cutoff)
-    half = m // 2
-    pos = k2 > 0
-    neg = k2 < 0
-    axis = k2 == 0
-    spec = np.zeros((coeffs.shape[0], m, half + 1), dtype=np.complex128)
-    spec[:, k1[pos] % m, k2[pos]] = coeffs[:, pos]
-    spec[:, (-k1[neg]) % m, -k2[neg]] = np.conj(coeffs[:, neg])
-    spec[:, k1[axis] % m, 0] = coeffs[:, axis]
-    spec[:, (-k1[axis]) % m, 0] = np.conj(coeffs[:, axis])
+    width = cutoff[1] + 1
+    full = m // 2 + 1
+    direct = np.nonzero(k2 >= 0)[0]
+    conj = np.nonzero(k2 <= 0)[0]
+    neg = np.nonzero(k2 < 0)[0]
 
     m1 = (np.fft.fftfreq(m) * m)[:, None]
     m2 = (np.fft.rfftfreq(m) * m)[None, :]
     d1 = 1j * (TWO_PI / length) * m1
     d2 = 1j * (TWO_PI / length) * m2
     lap = -((TWO_PI / length) ** 2) * (m1 * m1 + m2 * m2)
+    # mode k sits at (k1 mod m, k2), its conjugate partner at (-k1 mod m, -k2)
+    plan = _PseudoPlan(
+        width=width,
+        direct=direct,
+        put_direct=(k1[direct] % m) * width + k2[direct],
+        conj=conj,
+        put_conj=((-k1[conj]) % m) * width - k2[conj],
+        take_direct=(k1[direct] % m) * full + k2[direct],
+        neg=neg,
+        take_conj=((-k1[neg]) % m) * full - k2[neg],
+        symbols=tuple(
+            np.ascontiguousarray(np.broadcast_to(sym, (m, full))[:, :width])
+            for sym in (-d2, d1, lap * d1, lap * d2)
+        ),
+        lap_box=-((TWO_PI / length) ** 2) * (k1 * k1 + k2 * k2).astype(np.float64),
+        scale=m * m / length,  # inverse-transform normalization for the (1/L) basis
+        norm=length / (m * m),
+    )
+    for arr in (
+        plan.direct,
+        plan.put_direct,
+        plan.conj,
+        plan.put_conj,
+        plan.take_direct,
+        plan.neg,
+        plan.take_conj,
+        *plan.symbols,
+        plan.lap_box,
+    ):
+        arr.flags.writeable = False
+    return plan
+
+
+def _pseudo_batch(coeffs: np.ndarray, period: float, cutoff: Mode, grid: int) -> np.ndarray:
+    m = _check_grid(grid, cutoff)
+    plan = _pseudo_plan(float(period), cutoff, m)
+    chunk = max(1, _PSEUDO_FIELD_BYTES // (8 * m * m))
+    out = np.empty_like(coeffs)
+    for lo in range(0, coeffs.shape[0], chunk):
+        out[lo : lo + chunk] = _pseudo_chunk(coeffs[lo : lo + chunk], plan, m)
+    return out
+
+
+def _pseudo_chunk(coeffs: np.ndarray, plan: _PseudoPlan, m: int) -> np.ndarray:
+    """One chunk of the collocation oracle in the pruned Hermitian half-spectrum.
+
+    The physical fields are real, so every transform runs through rfft2 and
+    irfft2. Boxed modes with k2 < 0 live in the dropped half and are stored
+    (and read back) through their conjugates; k2 = 0 modes need both
+    Hermitian partners placed explicitly because only the last axis's
+    symmetry is implied by the layout. The box reaches only the last-axis
+    columns 0..n2, so the spectra keep just those columns: irfft2 with
+    s=(m, m) runs the first-axis inverse pass on them alone and zero-pads the
+    last axis, which is bitwise the transform of the full half-spectrum.
+    """
+    rows = coeffs.shape[0]
+    spec = np.zeros((rows, m * plan.width), dtype=np.complex128)
+    spec[:, plan.put_direct] = coeffs[:, plan.direct]
+    spec[:, plan.put_conj] = np.conj(coeffs[:, plan.conj])
+    spec = spec.reshape(rows, m, plan.width)
+
     shape = (m, m)
+    u1, u2, g1, g2 = (np.fft.irfft2(spec * sym, s=shape) for sym in plan.symbols)
+    for grid_field in (u1, u2, g1, g2):
+        grid_field *= plan.scale
 
-    scale = m * m / length  # inverse-transform normalization for the (1/L) basis
-    u1 = np.fft.irfft2(spec * (-d2), s=shape) * scale
-    u2 = np.fft.irfft2(spec * d1, s=shape) * scale
-    g1 = np.fft.irfft2(spec * (lap * d1), s=shape) * scale
-    g2 = np.fft.irfft2(spec * (lap * d2), s=shape) * scale
-
-    advect = -(u1 * g1 + u2 * g2)
-    transformed = np.fft.rfft2(advect) * (length / (m * m))
+    # advect = -(u1 g1 + u2 g2), evaluated in place
+    u1 *= g1
+    u2 *= g2
+    u1 += u2
+    np.negative(u1, out=u1)
+    transformed = np.fft.rfft2(u1)
+    transformed *= plan.norm
+    transformed = transformed.reshape(rows, -1)
     vort_rate = np.empty_like(coeffs)
-    nonneg = ~neg
-    vort_rate[:, nonneg] = transformed[:, k1[nonneg] % m, k2[nonneg]]
-    vort_rate[:, neg] = np.conj(transformed[:, (-k1[neg]) % m, -k2[neg]])
-    lap_box = -((TWO_PI / length) ** 2) * (k1 * k1 + k2 * k2).astype(np.float64)
-    return vort_rate / lap_box
+    vort_rate[:, plan.direct] = transformed[:, plan.take_direct]
+    vort_rate[:, plan.neg] = np.conj(transformed[:, plan.take_conj])
+    vort_rate /= plan.lap_box
+    return vort_rate
 
 
 def drift_batch(

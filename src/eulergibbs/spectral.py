@@ -187,8 +187,10 @@ class SpectralField:
             "period": self.period,
             "cutoff": list(self.cutoff),
             "coeffs": [
-                [int(k[0]), int(k[1]), float(c.real), float(c.imag)]
-                for k, c in zip(modes, self.coeffs)
+                [k1, k2, re, im]
+                for (k1, k2), re, im in zip(
+                    modes, self.coeffs.real.tolist(), self.coeffs.imag.tolist()
+                )
             ],
         }
 

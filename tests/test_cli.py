@@ -14,6 +14,9 @@ from eulergibbs.cli import (
     EXIT_PASS,
     EXIT_VERDICT,
     ConfigError,
+    _json_bytes,
+    _jsonable,
+    _jsonl_bytes,
     _read_config_file,
     main,
     resolve_config,
@@ -169,6 +172,52 @@ class TestConfigGrammar:
         printed = capsys.readouterr().out
         assert "betas" in printed
         assert "cutoffs" in printed
+
+    def test_describe_config_needs_no_seed_or_out(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["moments", "--describe-config"]) == EXIT_PASS
+        assert "betas" in capsys.readouterr().out
+        assert main(["evolve", "--set", "dt=0.1", "--describe-config"]) == EXIT_PASS
+        assert "t_final" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, missing",
+        [
+            (["moments", "--out", "unused"], "--seed"),
+            (["moments", "--seed", "1"], "--out"),
+            (["moments"], "--seed, --out"),
+        ],
+    )
+    def test_run_without_seed_or_out_is_a_usage_error(
+        self, argv, missing, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"the following arguments are required: {missing}" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestJsonOutput:
+    ROWS = [
+        {"x": [float("nan"), float("inf"), -float("inf"), 1.5, -0.0]},
+        {"a": np.float64(0.1), "b": np.int64(3), "c": np.float32(0.25), "d": np.float64("nan")},
+        {"t": (1, (2.5, "s"), ()), "n": None, "ok": True, "big": 10**30},
+        {10: "ten", 9: "nine"},
+        {"outer": {True: 1, None: 2, 1.5: 3}},
+        {"rows": [[1, 2, 0.5, np.int64(7)], [3, {2: "x", 10: "y"}]]},
+        SpectralField(2.5, (2, 3), np.linspace(-1, 1, mode_count((2, 3))) * (1 - 2j)).to_record(),
+    ]
+
+    def test_bytes_match_the_jsonable_walk(self):
+        for row in self.ROWS:
+            walked = json.dumps(_jsonable(row), sort_keys=True)
+            assert _jsonl_bytes([row]) == (walked + "\n").encode()
+            indented = json.dumps(_jsonable(row), indent=2, sort_keys=True)
+            assert _json_bytes(row) == (indented + "\n").encode()
+        assert b"null" in _jsonl_bytes(self.ROWS[:1])
+        assert _jsonl_bytes(self.ROWS[3:4]) == b'{"10": "ten", "9": "nine"}\n'
 
 
 class TestSampleCommand:

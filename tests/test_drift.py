@@ -1,6 +1,7 @@
 """Triad coefficients, the Galerkin drift, its oracle, and conservation identities."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulergibbs.drift import (
+    _PSEUDO_FIELD_BYTES,
     _TRIAD_TERMS_BYTES,
     PSEUDO_SPECTRAL,
     TRIAD_SUM,
@@ -21,6 +23,7 @@ from eulergibbs.drift import (
     quadratic_derivative,
     write_triad_contributions,
 )
+from eulergibbs.flow import IntegratorConfig, evolve_coeffs
 from eulergibbs.spectral import SpectralField, mode_arrays, mode_box, sobolev_norm
 
 from conftest import random_field
@@ -253,6 +256,126 @@ class TestPseudoSpectralOracle:
         direct = drift(f).field
         oracle = drift_pseudospectral(f, grid=24).field
         assert sobolev_norm(direct - oracle, 0.0) <= 1e-10 * sobolev_norm(direct, 0.0)
+
+
+def unpruned_collocation(coeffs, period, cutoff, grid):
+    """Reference collocation drift: the full Hermitian half-spectrum, no plan cache,
+    all rows in one pass, out-of-place arithmetic."""
+    m = grid
+    length = float(period)
+    k1, k2 = mode_arrays(cutoff)
+    half = m // 2
+    pos = k2 > 0
+    neg = k2 < 0
+    axis = k2 == 0
+    spec = np.zeros((coeffs.shape[0], m, half + 1), dtype=np.complex128)
+    spec[:, k1[pos] % m, k2[pos]] = coeffs[:, pos]
+    spec[:, (-k1[neg]) % m, -k2[neg]] = np.conj(coeffs[:, neg])
+    spec[:, k1[axis] % m, 0] = coeffs[:, axis]
+    spec[:, (-k1[axis]) % m, 0] = np.conj(coeffs[:, axis])
+
+    m1 = (np.fft.fftfreq(m) * m)[:, None]
+    m2 = (np.fft.rfftfreq(m) * m)[None, :]
+    d1 = 1j * (TWO_PI / length) * m1
+    d2 = 1j * (TWO_PI / length) * m2
+    lap = -((TWO_PI / length) ** 2) * (m1 * m1 + m2 * m2)
+    shape = (m, m)
+
+    scale = m * m / length
+    u1 = np.fft.irfft2(spec * (-d2), s=shape) * scale
+    u2 = np.fft.irfft2(spec * d1, s=shape) * scale
+    g1 = np.fft.irfft2(spec * (lap * d1), s=shape) * scale
+    g2 = np.fft.irfft2(spec * (lap * d2), s=shape) * scale
+
+    advect = -(u1 * g1 + u2 * g2)
+    transformed = np.fft.rfft2(advect) * (length / (m * m))
+    vort_rate = np.empty_like(coeffs)
+    nonneg = ~neg
+    vort_rate[:, nonneg] = transformed[:, k1[nonneg] % m, k2[nonneg]]
+    vort_rate[:, neg] = np.conj(transformed[:, (-k1[neg]) % m, -k2[neg]])
+    lap_box = -((TWO_PI / length) ** 2) * (k1 * k1 + k2 * k2).astype(np.float64)
+    return vort_rate / lap_box
+
+
+def pseudo_chunk_rows(grid):
+    return max(1, _PSEUDO_FIELD_BYTES // (8 * grid * grid))
+
+
+def random_rows(rng, cutoff, count):
+    n = len(mode_box(cutoff))
+    return rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+
+
+class TestPrunedCollocation:
+    @pytest.mark.parametrize(
+        "cutoff, grid, period",
+        [
+            ((1, 5), 20, 0.7),
+            ((5, 1), 23, 13.0),
+            ((2, 4), 19, TWO_PI),
+            ((3, 3), 12, 2.5),
+            ((4, 2), 21, 0.7),
+            ((6, 6), 24, TWO_PI),
+            ((6, 6), 27, 13.0),
+        ],
+    )
+    def test_bitwise_equal_to_unpruned_reference(self, cutoff, grid, period, rng):
+        # more rows than one chunk, so the pruned path crosses a chunk boundary
+        coeffs = random_rows(rng, cutoff, pseudo_chunk_rows(grid) + 5)
+        coeffs[3] = 0.0
+        got = drift_batch(coeffs, period, cutoff, PSEUDO_SPECTRAL, grid=grid)
+        expected = unpruned_collocation(coeffs, period, cutoff, grid)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cutoff, grid", [((6, 6), 24), ((8, 8), 32)])
+    def test_batch_matches_single_across_chunks(self, cutoff, grid, rng):
+        count = 2 * pseudo_chunk_rows(grid) + 3
+        coeffs = random_rows(rng, cutoff, count)
+        batch = drift_batch(coeffs, 3.3, cutoff, PSEUDO_SPECTRAL, grid=grid)
+        for row, single in zip(batch, coeffs):
+            f = SpectralField(3.3, cutoff, single)
+            assert row.tobytes() == drift_pseudospectral(f, grid=grid).field.coeffs.tobytes()
+
+    def test_evolve_threads_are_bitwise_irrelevant(self, rng):
+        cutoff, grid = (6, 6), 24
+        cfg = IntegratorConfig(
+            scheme="implicit_midpoint",
+            dt=1e-2,
+            t_final=0.03,
+            drift_method=PSEUDO_SPECTRAL,
+            grid=grid,
+        )
+        coeffs = np.stack(
+            [
+                decaying_field(rng, TWO_PI, cutoff).coeffs
+                for _ in range(2 * pseudo_chunk_rows(grid) + 3)
+            ]
+        )
+        one = evolve_coeffs(coeffs, TWO_PI, cutoff, cfg, threads=1)
+        assert one.failed_members == ()
+        for threads in (2, 3):
+            other = evolve_coeffs(coeffs, TWO_PI, cutoff, cfg, threads=threads)
+            assert other.coeffs.tobytes() == one.coeffs.tobytes()
+
+
+class TestDriftMemory:
+    @pytest.mark.parametrize(
+        "method, budget",
+        [(TRIAD_SUM, _TRIAD_TERMS_BYTES), (PSEUDO_SPECTRAL, _PSEUDO_FIELD_BYTES)],
+    )
+    def test_peak_is_bounded_by_the_chunk_budget(self, method, budget, rng):
+        # numpy reports its buffers to tracemalloc; the plan and table caches
+        # are warmed first, so the peak is one call's working set
+        cutoff = (16, 16)
+        coeffs = random_rows(rng, cutoff, 512)
+        drift_batch(coeffs[:1], 1.0, cutoff, method)
+        tracemalloc.start()
+        try:
+            out = drift_batch(coeffs, 1.0, cutoff, method)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * budget + out.nbytes
 
 
 class TestConservation:
