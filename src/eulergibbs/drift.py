@@ -45,8 +45,9 @@ from .spectral import (
 TRIAD_SUM = "triad_sum"
 PSEUDO_SPECTRAL = "pseudo_spectral"
 
-# byte budget for one real grid field of a chunk in the pseudo-spectral drift
-_PSEUDO_FIELD_BYTES = 1 << 18
+# byte budget for one real grid field of a chunk in the pseudo-spectral drift;
+# a chunk works in about seven such fields, well inside a 2 MiB per-core L2
+_PSEUDO_FIELD_BYTES = 1 << 17
 
 # byte budget for one chunk of pair products in the triad drift
 _TRIAD_TERMS_BYTES = 1 << 20
@@ -274,6 +275,13 @@ def _pseudo_batch(coeffs: np.ndarray, period: float, cutoff: Mode, grid: int) ->
     return out
 
 
+def _grid_field(spec: np.ndarray, sym: np.ndarray, scale: float, shape: tuple[int, int]) -> np.ndarray:
+    """irfft2 of spec * sym on the grid, scaled in place by the basis normalization."""
+    field = np.fft.irfft2(spec * sym, s=shape)
+    field *= scale
+    return field
+
+
 def _pseudo_chunk(coeffs: np.ndarray, plan: _PseudoPlan, m: int) -> np.ndarray:
     """One chunk of the collocation oracle in the pruned Hermitian half-spectrum.
 
@@ -293,14 +301,16 @@ def _pseudo_chunk(coeffs: np.ndarray, plan: _PseudoPlan, m: int) -> np.ndarray:
     spec = spec.reshape(rows, m, plan.width)
 
     shape = (m, m)
-    u1, u2, g1, g2 = (np.fft.irfft2(spec * sym, s=shape) for sym in plan.symbols)
-    for grid_field in (u1, u2, g1, g2):
-        grid_field *= plan.scale
-
-    # advect = -(u1 g1 + u2 g2), evaluated in place
-    u1 *= g1
-    u2 *= g2
+    sym_u1, sym_u2, sym_g1, sym_g2 = plan.symbols
+    # advect = -(u1 g1 + u2 g2), evaluated in place; each product is taken
+    # before the next pair is transformed, so at most three grid fields are alive
+    u1 = _grid_field(spec, sym_u1, plan.scale, shape)
+    u1 *= _grid_field(spec, sym_g1, plan.scale, shape)
+    u2 = _grid_field(spec, sym_u2, plan.scale, shape)
+    u2 *= _grid_field(spec, sym_g2, plan.scale, shape)
+    del spec
     u1 += u2
+    del u2
     np.negative(u1, out=u1)
     transformed = np.fft.rfft2(u1)
     transformed *= plan.norm
