@@ -19,8 +19,13 @@ gives scans over nested cutoffs common random numbers for free. The two
 normal deviates through the inverse CDF, so one counter block is exactly one
 coefficient.
 
-The implementation is vectorized numpy and is property-tested bit-exact
-against the reference Philox implementation in numpy.random.
+The blocks come from numpy's C generator, numpy.random.Philox, keyed by
+(master_seed, stream_id). numpy increments counter word 0 first, so for one
+mode the samples start .. start+count-1 are count consecutive counters: the
+generator is advanced to each mode's first counter and emits that mode's
+blocks in sample order in one call. The cost is a few microseconds of Python
+per mode plus the C rounds. The tests hold every deviate bit-exact against
+an independent numpy transcription of the Philox rounds.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+from numpy.random import Philox
 from scipy.special import ndtri
 
 from .spectral import Mode, SpectralField, TWO_PI, _check_cutoff, enstrophy, mode_arrays
@@ -39,46 +45,20 @@ GENERATOR_NAME = "philox4x64-10+inverse-normal"
 
 ENSEMBLE_SCHEMA = "ensemble.v1"
 
-_M0 = np.uint64(0xD2E7470EE14C6C93)
-_M1 = np.uint64(0xCA5A826395121157)
-_W0 = np.uint64(0x9E3779B97F4A7C15)
-_W1 = np.uint64(0xBB67AE8584CAA73B)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 _U64 = 0xFFFFFFFFFFFFFFFF
+_COUNTER_SPAN = 1 << 64
+_COUNTER_MOD = 1 << 256
 
 
-def _mulhilo(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full 128-bit product of uint64 arrays as (high word, low word)."""
-    lo = a * b
-    a_hi = a >> _SHIFT32
-    a_lo = a & _MASK32
-    b_hi = b >> _SHIFT32
-    b_lo = b & _MASK32
-    mid = ((a_lo * b_lo) >> _SHIFT32) + ((a_hi * b_lo) & _MASK32) + ((a_lo * b_hi) & _MASK32)
-    hi = a_hi * b_hi + ((a_hi * b_lo) >> _SHIFT32) + ((a_lo * b_hi) >> _SHIFT32) + (mid >> _SHIFT32)
-    return hi, lo
-
-
-def _philox4x64(c0, c1, c2, c3, k0, k1) -> tuple[np.ndarray, ...]:
-    """Ten rounds of philox4x64 over broadcastable uint64 counter/key arrays."""
-    with np.errstate(over="ignore"):
-        arrays = [np.atleast_1d(np.asarray(x, dtype=np.uint64)) for x in (c0, c1, c2, c3, k0, k1)]
-        c0, c1, c2, c3, k0, k1 = (a.copy() for a in np.broadcast_arrays(*arrays))
-        for _ in range(10):
-            hi0, lo0 = _mulhilo(_M0, c0)
-            hi1, lo1 = _mulhilo(_M1, c2)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-            k0 = k0 + _W0
-            k1 = k1 + _W1
-    return c0, c1, c2, c3
-
-
-def _to_uniform(word: np.ndarray) -> np.ndarray:
+def _to_uniform(word: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # top 52 bits, centered on the cell: every value (i + 1/2) * 2^-52 is an
     # exact float strictly inside (0, 1), so the inverse CDF never sees 0 or 1
     # (53 bits would let the largest cell round up to exactly 1.0)
-    return ((word >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+    uniform = np.add(word >> np.uint64(12), 0.5, out=out)
+    uniform *= 2.0**-52
+    return uniform
 
 
 @dataclass(frozen=True)
@@ -105,26 +85,40 @@ def pack_mode(k1, k2) -> np.ndarray:
 
 
 def standard_complex_normals(
-    stream: RngStream, sample_indices, k1, k2
+    stream: RngStream, start: int, count: int, k1, k2
 ) -> np.ndarray:
-    """Unit complex Gaussians, one per (sample index, mode), E|z|^2 = 1.
+    """Unit complex Gaussians for samples start .. start+count-1, E|z|^2 = 1.
 
-    sample_indices and the mode arrays are broadcast against each other, so
-    (S, 1) indices with (M,) modes give an (S, M) matrix.
+    The mode arrays k1 and k2 are broadcast against each other; the result
+    has shape (count, *broadcast mode shape), one deviate per (sample, mode).
+    Sample indices must lie in the 64-bit counter word, 0 .. 2^64 - 1.
     """
-    counters0 = np.asarray(sample_indices, dtype=np.uint64)
-    counters1 = pack_mode(k1, k2)
-    w0, w1, _, _ = _philox4x64(
-        counters0,
-        counters1,
-        np.uint64(0),
-        np.uint64(0),
-        np.uint64(stream.master_seed),
-        np.uint64(stream.stream_id),
-    )
-    real = ndtri(_to_uniform(w0))
-    imag = ndtri(_to_uniform(w1))
-    return (real + 1j * imag) / math.sqrt(2.0)
+    start, count = int(start), int(count)
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if start < 0 or start + count > _COUNTER_SPAN:
+        raise ValueError(
+            f"samples {start} .. {start + count - 1} leave the counter range 0 .. 2^64 - 1"
+        )
+    packed = pack_mode(k1, k2)
+    out = np.empty((count, packed.size), dtype=np.complex128)
+    words = out.view(np.uint64).reshape(count, packed.size, 2)
+    generator = Philox(key=stream.master_seed | stream.stream_id << 64)
+    position = 0
+    for column, mode in enumerate(packed.ravel().tolist()):
+        # numpy increments the 256-bit counter before each block, so stand
+        # one below (start, mode, 0, 0)
+        target = start + (mode << 64) - 1
+        generator.advance((target - position) % _COUNTER_MOD)
+        words[:, column] = generator.random_raw(4 * count).reshape(count, 4)[:, :2]
+        position = target + count
+    normals = out.view(np.float64)
+    _to_uniform(normals.view(np.uint64), out=normals)
+    ndtri(normals, out=normals)
+    # the bits of (real + 1j * imag) / sqrt(2): numpy divides a complex by
+    # multiplying with the reciprocal of the divisor
+    normals *= 1.0 / math.sqrt(2.0)
+    return out.reshape((count,) + packed.shape)
 
 
 @dataclass(frozen=True)
@@ -170,14 +164,10 @@ def sample_coeff_matrix(
     p: GibbsParams, rng: RngStream, count: int, start: int = 0
 ) -> np.ndarray:
     """Coefficient rows for samples start .. start+count-1, shape (count, modes)."""
-    count = int(count)
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
     k1, k2 = mode_arrays(p.cutoff)
-    indices = (np.arange(start, start + count, dtype=np.uint64))[:, None]
-    z = standard_complex_normals(rng, indices, k1[None, :], k2[None, :])
-    sigma = _sigma_vector(p.gamma, p.period, p.cutoff)
-    return z * sigma[None, :]
+    z = standard_complex_normals(rng, start, count, k1, k2)
+    z *= _sigma_vector(p.gamma, p.period, p.cutoff)
+    return z
 
 
 def sample(p: GibbsParams, rng: RngStream, index: int = 0) -> SpectralField:
@@ -256,8 +246,7 @@ def coupled_dyadic_matrices(
     shifts = np.arange(refine, dtype=np.int64)
     block1 = refine * k1[:, None] + shifts[None, :]
     block2 = refine * k2[:, None] + shifts[None, :]
-    indices = np.arange(start, start + count, dtype=np.uint64)[:, None, None]
-    zeta = standard_complex_normals(rng, indices, block1[None, :, :], block2[None, :, :])
+    zeta = standard_complex_normals(rng, start, count, block1, block2)
     pooled = zeta.sum(axis=2) / math.sqrt(refine)
     sigma = _sigma_vector(p_base.gamma, p_base.period, p_base.cutoff)
     coarse = pooled * sigma[None, :]

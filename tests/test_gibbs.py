@@ -1,16 +1,17 @@
 """The counter-keyed sampler: bit-exactness, marginal laws, couplings, oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.random import Philox
 from scipy import stats
+from scipy.special import ndtri
 
 from eulergibbs.gibbs import (
     GibbsParams,
     RngStream,
-    _philox4x64,
     _to_uniform,
     coupled_dyadic_matrices,
     coupled_dyadic_pair,
@@ -31,11 +32,65 @@ from eulergibbs.spectral import (
 
 TWO_PI = 2.0 * math.pi
 
+_M0 = np.uint64(0xD2E7470EE14C6C93)
+_M1 = np.uint64(0xCA5A826395121157)
+_W0 = np.uint64(0x9E3779B97F4A7C15)
+_W1 = np.uint64(0xBB67AE8584CAA73B)
+_MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _mulhilo(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full 128-bit product of uint64 arrays as (high word, low word)."""
+    lo = a * b
+    a_hi = a >> _SHIFT32
+    a_lo = a & _MASK32
+    b_hi = b >> _SHIFT32
+    b_lo = b & _MASK32
+    mid = ((a_lo * b_lo) >> _SHIFT32) + ((a_hi * b_lo) & _MASK32) + ((a_lo * b_hi) & _MASK32)
+    hi = a_hi * b_hi + ((a_hi * b_lo) >> _SHIFT32) + ((a_lo * b_hi) >> _SHIFT32) + (mid >> _SHIFT32)
+    return hi, lo
+
+
+def _philox4x64(c0, c1, c2, c3, k0, k1) -> tuple[np.ndarray, ...]:
+    """Ten rounds of philox4x64 over broadcastable uint64 counter/key arrays.
+
+    An independent numpy transcription of the rounds (Salmon et al., SC'11),
+    the reference the sampler's C generator is held against.
+    """
+    with np.errstate(over="ignore"):
+        arrays = [np.atleast_1d(np.asarray(x, dtype=np.uint64)) for x in (c0, c1, c2, c3, k0, k1)]
+        c0, c1, c2, c3, k0, k1 = (a.copy() for a in np.broadcast_arrays(*arrays))
+        for _ in range(10):
+            hi0, lo0 = _mulhilo(_M0, c0)
+            hi1, lo1 = _mulhilo(_M1, c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+            k0 = k0 + _W0
+            k1 = k1 + _W1
+    return c0, c1, c2, c3
+
+
+def _reference_normals(stream: RngStream, start: int, count: int, k1, k2) -> np.ndarray:
+    """Deviates block by block from counters (sample, packed mode, 0, 0)."""
+    packed = pack_mode(k1, k2)
+    indices = np.arange(count, dtype=np.uint64) + np.uint64(start)
+    w0, w1, _, _ = _philox4x64(
+        indices.reshape((count,) + (1,) * packed.ndim),
+        packed[None, ...],
+        np.uint64(0),
+        np.uint64(0),
+        np.uint64(stream.master_seed),
+        np.uint64(stream.stream_id),
+    )
+    real = ndtri(_to_uniform(w0))
+    imag = ndtri(_to_uniform(w1))
+    return (real + 1j * imag) / math.sqrt(2.0)
+
 
 class TestPhiloxCore:
     def test_bit_exact_against_numpy_reference(self):
         # numpy's generator emits its first block at counter + 1, so compare
-        # our blocks at incremented counters against two raw blocks
+        # reference blocks at incremented counters against two raw blocks
         seeder = np.random.default_rng(7)
         for _ in range(25):
             key = seeder.integers(0, 2**64, size=2, dtype=np.uint64)
@@ -66,10 +121,67 @@ class TestPhiloxCore:
 
     def test_broadcast_shapes(self):
         stream = RngStream(1, 2)
-        z = standard_complex_normals(
-            stream, np.arange(5, dtype=np.uint64)[:, None], np.arange(3)[None, :], np.zeros(3, int)[None, :]
-        )
-        assert z.shape == (5, 3)
+        assert standard_complex_normals(stream, 0, 5, np.arange(3), np.zeros(3, int)).shape == (5, 3)
+        block = standard_complex_normals(stream, 4, 5, np.arange(3)[:, None], np.arange(2)[None, :])
+        assert block.shape == (5, 3, 2)
+        assert standard_complex_normals(stream, 9, 0, np.arange(3), 1).shape == (0, 3)
+        assert standard_complex_normals(stream, 9, 0, np.ones((3, 2), int), 1).shape == (0, 3, 2)
+
+    @pytest.mark.parametrize("count", [1, 6])
+    @pytest.mark.parametrize("start", [0, 7, 2**63, "last"])
+    def test_bit_exact_against_reference_rounds(self, start, count):
+        start = 2**64 - count if start == "last" else start
+        stream = RngStream(0xFEDCBA9876543210, 2**64 - 3)
+        # a 1-D box row with k1 = 0 and negative modes, and a coupled block
+        k1 = np.array([0, 0, 1, -1, 3, -7, 2**31 - 1, -(2**31)])
+        k2 = np.array([1, 5, 0, 2, -4, -7, 1, 2**31 - 1])
+        block1 = 2 * np.array([[0], [1], [-2]]) + np.arange(2)[None, :]
+        block2 = 2 * np.array([[1], [-1], [3]]) + np.arange(2)[None, :]
+        for a, b in ((k1, k2), (block1, block2)):
+            got = standard_complex_normals(stream, start, count, a, b)
+            want = _reference_normals(stream, start, count, a, b)
+            assert got.shape == want.shape == (count,) + np.shape(a)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestCounterRange:
+    P = GibbsParams(gamma=1.0, period=4.0, cutoff=(2, 2))
+
+    def test_negative_start_rejected(self):
+        with pytest.raises(ValueError):
+            sample_coeff_matrix(self.P, RngStream(1), 3, start=-1)
+        with pytest.raises(ValueError):
+            coupled_dyadic_matrices(2, 3, self.P, RngStream(1), 3, start=-1)
+
+    def test_counter_overflow_rejected(self):
+        with pytest.raises(ValueError):
+            sample_coeff_matrix(self.P, RngStream(1), 3, start=2**64 - 2)
+        with pytest.raises(ValueError):
+            coupled_dyadic_matrices(2, 3, self.P, RngStream(1), 3, start=2**64 - 2)
+        with pytest.raises(ValueError):
+            sample_coeff_matrix(self.P, RngStream(1), -1)
+
+    def test_last_counters_accepted(self):
+        last = sample_coeff_matrix(self.P, RngStream(1), 3, start=2**64 - 3)
+        assert np.array_equal(last[2], sample(self.P, RngStream(1), index=2**64 - 1).coeffs)
+        coarse, fine, _ = coupled_dyadic_matrices(2, 3, self.P, RngStream(1), 3, start=2**64 - 3)
+        assert coarse.shape[0] == fine.shape[0] == 3
+
+
+class TestSamplerMemory:
+    def test_peak_bounded_by_output(self):
+        # numpy reports its buffers to tracemalloc; the mode and sigma caches
+        # are warmed first, so the peak is one call's working set
+        p = GibbsParams(gamma=1.0, period=TWO_PI, cutoff=(32, 32))
+        stream = RngStream(8, 1)
+        sample_coeff_matrix(p, stream, 1)
+        tracemalloc.start()
+        try:
+            out = sample_coeff_matrix(p, stream, 80)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * out.nbytes
 
 
 class TestVarianceOracle:
