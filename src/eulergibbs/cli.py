@@ -2,7 +2,9 @@
 
 Every subcommand reads a flat key=value config file ('#' starts a comment,
 unknown or duplicate keys are hard errors), applies --set overrides, and
-writes its outputs plus a manifest.json into --out. The manifest records the
+writes its outputs plus a manifest.json into --out. JSONL outputs are
+encoded and written one record at a time, and one pass over each file feeds
+the file, its sha256 and the determinism digest. The manifest records the
 resolved config, the code version, the generator name, per-file sha256
 digests, and a determinism hash over the payload bytes of every output file
 (the manifest itself, which carries wall-clock timestamps, is excluded).
@@ -31,7 +33,7 @@ import sys
 from dataclasses import asdict, dataclass, field as dataclass_field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from .flow import (
     IntegrationError,
     IntegratorConfig,
     evolve,
+    snapshot_record,
 )
 from .gibbs import (
     ENSEMBLE_SCHEMA,
@@ -389,6 +392,12 @@ def _jsonl_bytes(rows: Sequence[dict]) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
+def _jsonl_lines(records: Iterable[dict]) -> Iterator[bytes]:
+    """The JSONL payload of records as one chunk per line, each encoded when
+    the writer asks for it, so no more than one record is held as text."""
+    return (_jsonl_bytes([record]) for record in records)
+
+
 def _csv_bytes(fieldnames: Sequence[str], rows: Sequence[dict]) -> bytes:
     buffer = io.StringIO(newline="")
     writer = csv.DictWriter(buffer, fieldnames=list(fieldnames), lineterminator="\n")
@@ -415,7 +424,8 @@ def _report_csv(rows: Sequence) -> bytes:
 
 @dataclass
 class CommandResult:
-    outputs: dict[str, bytes]
+    # file name -> payload: bytes, or an iterable of byte chunks streamed in order
+    outputs: dict[str, bytes | Iterable[bytes]]
     verdicts: dict[str, bool] = dataclass_field(default_factory=dict)
     schemas: dict[str, str] = dataclass_field(default_factory=dict)
     measurements: dict = dataclass_field(default_factory=dict)
@@ -450,13 +460,10 @@ def _from_config(cls, config: dict, **extra):
 def _cmd_sample(config: dict, rng: RngStream, threads: int) -> CommandResult:
     p = _from_config(GibbsParams, config)
     matrix = sample_coeff_matrix(p, rng, config["count"])
-    rows = [
-        {
-            "index": index,
-            "field": SpectralField(p.period, p.cutoff, matrix[index]).to_record(),
-        }
-        for index in range(config["count"])
-    ]
+    records = (
+        {"index": index, "field": SpectralField(p.period, p.cutoff, row).to_record()}
+        for index, row in enumerate(matrix)
+    )
 
     abs_sq = matrix.real**2 + matrix.imag**2
     empirical = abs_sq.mean(axis=0)
@@ -479,7 +486,7 @@ def _cmd_sample(config: dict, rng: RngStream, threads: int) -> CommandResult:
 
     return CommandResult(
         outputs={
-            "ensemble.jsonl": _jsonl_bytes(rows),
+            "ensemble.jsonl": _jsonl_lines(records),
             "per_mode_stats.csv": _csv_bytes(list(stats_rows[0]), stats_rows),
         },
         schemas={"ensemble": ENSEMBLE_SCHEMA, "field": FIELD_SCHEMA},
@@ -517,14 +524,19 @@ def _cmd_evolve(config: dict, rng: RngStream, threads: int) -> CommandResult:
         "snapshots": len(trajectory.samples),
     }
     if config["round_trip"]:
-        back = evolve(trajectory.final, replace(cfg, t_final=-cfg.t_final))
+        # only the endpoint is read, so the way back records no snapshots
+        back = evolve(trajectory.final, replace(cfg, t_final=-cfg.t_final, snapshot_stride=0))
         gap = back.final - initial
         error = sobolev_norm(gap, 0.0) / max(sobolev_norm(initial, 0.0), 1.0)
         measurements["round_trip_error"] = error
         verdicts["round_trip_return"] = error <= config["round_trip_tol"]
 
     return CommandResult(
-        outputs={"trajectory.jsonl": _jsonl_bytes(trajectory.records())},
+        outputs={
+            "trajectory.jsonl": _jsonl_lines(
+                snapshot_record(t, f) for t, f in trajectory.samples
+            )
+        },
         verdicts=verdicts,
         schemas={"trajectory": TRAJECTORY_SCHEMA, "field": FIELD_SCHEMA},
         measurements=measurements,
@@ -626,28 +638,40 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _write_outputs(out_dir: Path, outputs: dict[str, bytes]) -> list[dict]:
+def _write_outputs(
+    out_dir: Path, outputs: dict[str, bytes | Iterable[bytes]]
+) -> tuple[list[dict], str]:
+    """Write the outputs in sorted name order; return the manifest entries
+    and the determinism hash.
+
+    Each chunk goes to its file, the file's sha256 and the determinism digest
+    (name, newline, payload, per file) in one pass; a bytes payload is one
+    chunk. If a payload raises while it streams, every file this call wrote
+    is removed before the error propagates.
+    """
     entries = []
-    for name in outputs:
-        (out_dir / name).write_bytes(outputs[name])
-    for name in sorted(outputs):
-        entries.append(
-            {
-                "file": name,
-                "sha256": hashlib.sha256(outputs[name]).hexdigest(),
-                "bytes": len(outputs[name]),
-            }
-        )
-    return entries
-
-
-def _determinism_hash(outputs: dict[str, bytes]) -> str:
-    digest = hashlib.sha256()
-    for name in sorted(outputs):
-        digest.update(name.encode())
-        digest.update(b"\n")
-        digest.update(outputs[name])
-    return digest.hexdigest()
+    determinism = hashlib.sha256()
+    written: list[Path] = []
+    try:
+        for name in sorted(outputs):
+            payload, path = outputs[name], out_dir / name
+            digest = hashlib.sha256()
+            size = 0
+            determinism.update(name.encode())
+            determinism.update(b"\n")
+            with path.open("wb") as handle:
+                written.append(path)
+                for chunk in (payload,) if isinstance(payload, bytes) else payload:
+                    handle.write(chunk)
+                    digest.update(chunk)
+                    determinism.update(chunk)
+                    size += len(chunk)
+            entries.append({"file": name, "sha256": digest.hexdigest(), "bytes": size})
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    return entries, determinism.hexdigest()
 
 
 def _describe_config(subcommand: str) -> str:
@@ -734,14 +758,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ConfigError("--threads must be >= 1")
         rng = RngStream(args.seed, list(COMMANDS).index(args.subcommand))
         result = COMMANDS[args.subcommand](manifest["config"], rng, args.threads)
+        # payloads may be generators: encoding errors surface while writing
+        entries, determinism_hash = _write_outputs(out_dir, result.outputs)
     except (ConfigError, ValueError, IntegrationError) as exc:
         error, result = exc, CommandResult(outputs={})
+        entries, determinism_hash = _write_outputs(out_dir, result.outputs)
 
     manifest.update(
         {
             "schemas": result.schemas,
-            "outputs": _write_outputs(out_dir, result.outputs),
-            "determinism_hash": _determinism_hash(result.outputs),
+            "outputs": entries,
+            "determinism_hash": determinism_hash,
             "verdicts": result.verdicts,
             "passed": error is None and all(result.verdicts.values()),
             "measurements": result.measurements,

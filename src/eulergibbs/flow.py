@@ -111,16 +111,18 @@ class Trajectory:
 
     def records(self) -> list[dict]:
         """JSON-ready snapshot records, one per sample."""
-        return [
-            {
-                "schema": TRAJECTORY_SCHEMA,
-                "t": t,
-                "energy": energy(f),
-                "enstrophy": enstrophy(f),
-                "field": f.to_record(),
-            }
-            for t, f in self.samples
-        ]
+        return [snapshot_record(t, f) for t, f in self.samples]
+
+
+def snapshot_record(t: float, f: SpectralField) -> dict:
+    """The JSON-ready record of one trajectory snapshot (t, f)."""
+    return {
+        "schema": TRAJECTORY_SCHEMA,
+        "t": t,
+        "energy": energy(f),
+        "enstrophy": enstrophy(f),
+        "field": f.to_record(),
+    }
 
 
 @dataclass

@@ -232,6 +232,10 @@ def coupled_dyadic_matrices(
     2^(m-n) k + (j, j), j < 2^(m-n), the normalized block sum of the finer
     increments associated to the frequency k / 2^n. Marginals at both levels
     are exactly Gibbs; n = m degenerates to two identical fields.
+
+    Each zeta is drawn once: block modes inside the fine box are gathered
+    from the fine field's own deviates, and only those past its top rows
+    (coarse k1 = N1 or k2 = N2, j > 0) are drawn separately.
     """
     n, m = _check_dyadic_args(n, m, p_base)
     refine = 2 ** (m - n)
@@ -240,16 +244,31 @@ def coupled_dyadic_matrices(
         period=2.0**m,
         cutoff=(p_base.cutoff[0] * refine, p_base.cutoff[1] * refine),
     )
-    fine = sample_coeff_matrix(fine_params, rng, count, start=start)
+    fine_k1, fine_k2 = mode_arrays(fine_params.cutoff)
+    # unit deviates of the fine box, scaled to the fine law once zeta is gathered
+    fine = standard_complex_normals(rng, start, count, fine_k1, fine_k2)
 
     k1, k2 = mode_arrays(p_base.cutoff)
     shifts = np.arange(refine, dtype=np.int64)
     block1 = refine * k1[:, None] + shifts[None, :]
     block2 = refine * k2[:, None] + shifts[None, :]
-    zeta = standard_complex_normals(rng, start, count, block1, block2)
+    n1, n2 = fine_params.cutoff
+    # block modes are positive and have k2 >= -n2, so only the upper bounds can fail
+    inside = (block1 <= n1) & (block2 <= n2)
+    # position in mode_box(fine cutoff): the k1 = 0 row holds k2 = 1 .. n2,
+    # then each k1 >= 1 row holds k2 = -n2 .. n2
+    position = np.where(
+        block1 == 0, block2 - 1, n2 + (block1 - 1) * (2 * n2 + 1) + block2 + n2
+    )
+    zeta = np.empty((count,) + block1.shape, dtype=np.complex128)
+    zeta[:, inside] = fine[:, position[inside]]
+    zeta[:, ~inside] = standard_complex_normals(
+        rng, start, count, block1[~inside], block2[~inside]
+    )
     pooled = zeta.sum(axis=2) / math.sqrt(refine)
     sigma = _sigma_vector(p_base.gamma, p_base.period, p_base.cutoff)
     coarse = pooled * sigma[None, :]
+    fine *= _sigma_vector(fine_params.gamma, fine_params.period, fine_params.cutoff)
     return coarse, fine, fine_params
 
 

@@ -1,26 +1,32 @@
 """End-to-end tests of the command-line front end: config grammar, exit
 codes, output files, manifests, and byte-level reproducibility."""
 
+import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from eulergibbs import cli
 from eulergibbs.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_PASS,
     EXIT_VERDICT,
+    CommandResult,
     ConfigError,
     _json_bytes,
     _jsonable,
     _jsonl_bytes,
     _read_config_file,
+    _write_outputs,
     main,
     resolve_config,
 )
+from eulergibbs.flow import IntegrationError
 from eulergibbs.gibbs import GibbsParams, variance_oracle
 from eulergibbs.spectral import SpectralField, mode_count
 
@@ -220,6 +226,67 @@ class TestJsonOutput:
         assert _jsonl_bytes(self.ROWS[3:4]) == b'{"10": "ten", "9": "nine"}\n'
 
 
+class TestStreamingWriter:
+    PAYLOAD = b"".join(f'{{"index": {i}}}\n'.encode() for i in range(5))
+
+    def test_chunks_write_what_one_bytes_object_writes(self, tmp_path):
+        whole = {"z.jsonl": self.PAYLOAD, "a.csv": b"x,y\n1,2\n"}
+        pieces = self.PAYLOAD.splitlines(keepends=True)
+        chunked = {
+            "z.jsonl": (piece for piece in pieces),
+            "a.csv": [b"x,y\n", b"", b"1,2\n"],
+        }
+        (tmp_path / "whole").mkdir()
+        (tmp_path / "chunked").mkdir()
+        entries, digest = _write_outputs(tmp_path / "whole", whole)
+        assert _write_outputs(tmp_path / "chunked", chunked) == (entries, digest)
+        for name, payload in whole.items():
+            assert (tmp_path / "whole" / name).read_bytes() == payload
+            assert (tmp_path / "chunked" / name).read_bytes() == payload
+        assert entries == [
+            {
+                "file": name,
+                "sha256": hashlib.sha256(whole[name]).hexdigest(),
+                "bytes": len(whole[name]),
+            }
+            for name in sorted(whole)
+        ]
+        expected = hashlib.sha256()
+        for name in sorted(whole):
+            expected.update(name.encode() + b"\n" + whole[name])
+        assert digest == expected.hexdigest()
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (ValueError("stream broke"), EXIT_CONFIG),
+            (IntegrationError("stream broke", step=3, members=[0]), EXIT_NUMERIC),
+        ],
+        ids=["value-error", "integration-error"],
+    )
+    def test_a_stream_that_raises_leaves_only_a_failure_manifest(
+        self, tmp_path, monkeypatch, capsys, error, code
+    ):
+        def records():
+            yield b'{"index": 0}\n'
+            raise error
+
+        def command(config, rng, threads):
+            # a.csv is written whole before the failing stream starts
+            return CommandResult(outputs={"b.jsonl": records(), "a.csv": b"x\n1\n"})
+
+        monkeypatch.setitem(cli.COMMANDS, "sample", command)
+        out = tmp_path / "out"
+        assert main(["sample", "--seed", "1", "--out", str(out)]) == code
+        assert "Traceback" not in capsys.readouterr().err
+        assert [path.name for path in out.iterdir()] == ["manifest.json"]
+        manifest = read_json(out / "manifest.json")
+        assert manifest["error"] == "stream broke"
+        assert manifest["passed"] is False
+        assert manifest["outputs"] == []
+        assert manifest["determinism_hash"] == hashlib.sha256().hexdigest()
+
+
 class TestSampleCommand:
     def test_repeated_runs_are_byte_identical(self, tmp_path):
         argv = ["sample", "--seed", "11", "--set", "count=20", "--set", "cutoff=3,3"]
@@ -302,8 +369,6 @@ class TestSampleCommand:
         assert manifest["verdicts"] == {}
         assert manifest["passed"] is True
         assert manifest["started"] <= manifest["finished"]
-        import hashlib
-
         names = {entry["file"] for entry in manifest["outputs"]}
         assert names == {"ensemble.jsonl", "per_mode_stats.csv"}
         for entry in manifest["outputs"]:
@@ -428,6 +493,33 @@ class TestEvolveCommand:
         assert manifest["outputs"] == []
         assert manifest["config"]["scheme"] == "implicit_midpoint"
         assert not (out / "trajectory.jsonl").exists()
+
+
+class TestEvolveMemory:
+    @staticmethod
+    def peak(out: Path, steps: int) -> int:
+        argv = [
+            "evolve", "--seed", "3", "--out", str(out), "--set", "cutoff=4,4",
+            "--set", "dt=0.001", "--set", f"t_final={steps * 0.001!r}",
+            "--set", "snapshot_stride=1",
+        ]
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_PASS
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_snapshots_cost_little_more_than_their_coefficients(self, tmp_path, capsys):
+        # the first run warms the triad table and mode caches; then 150 more
+        # snapshots may add at most 3x their coefficient bytes to the peak
+        # (measured: about 1.6x; holding the whole file as text took about 22x)
+        steps = 50
+        self.peak(tmp_path / "warm", steps)
+        base = self.peak(tmp_path / "short", steps)
+        longer = self.peak(tmp_path / "long", 4 * steps)
+        added = 3 * steps * mode_count((4, 4)) * np.dtype(np.complex128).itemsize
+        assert longer - base <= 3 * added
 
 
 class TestExperimentCommands:

@@ -9,9 +9,11 @@ from numpy.random import Philox
 from scipy import stats
 from scipy.special import ndtri
 
+import eulergibbs.gibbs as gibbs
 from eulergibbs.gibbs import (
     GibbsParams,
     RngStream,
+    _sigma_vector,
     _to_uniform,
     coupled_dyadic_matrices,
     coupled_dyadic_pair,
@@ -27,6 +29,7 @@ from eulergibbs.spectral import (
     SpectralField,
     evaluate,
     local_distance,
+    mode_arrays,
     mode_box,
 )
 
@@ -330,15 +333,68 @@ class TestFieldCovariance:
 
 
 def _evaluate_many(coeffs: np.ndarray, p: GibbsParams, x) -> np.ndarray:
-    from eulergibbs.spectral import mode_arrays
-
     k1, k2 = mode_arrays(p.cutoff)
     angle = (TWO_PI / p.period) * (k1 * x[0] + k2 * x[1])
     phases = np.exp(1j * angle)
     return (2.0 / p.period) * (coeffs @ phases).real
 
 
+def _two_call_coupled(n: int, m: int, p_base: GibbsParams, rng: RngStream, count: int, start: int):
+    """The coupled draw that runs zeta a second time at every block mode,
+    inside the fine box too: the bit-exact reference for the one-draw form."""
+    refine = 2 ** (m - n)
+    fine_params = GibbsParams(
+        gamma=p_base.gamma,
+        period=2.0**m,
+        cutoff=(p_base.cutoff[0] * refine, p_base.cutoff[1] * refine),
+    )
+    fine = sample_coeff_matrix(fine_params, rng, count, start=start)
+    k1, k2 = mode_arrays(p_base.cutoff)
+    shifts = np.arange(refine, dtype=np.int64)
+    block1 = refine * k1[:, None] + shifts[None, :]
+    block2 = refine * k2[:, None] + shifts[None, :]
+    zeta = standard_complex_normals(rng, start, count, block1, block2)
+    pooled = zeta.sum(axis=2) / math.sqrt(refine)
+    coarse = pooled * _sigma_vector(p_base.gamma, p_base.period, p_base.cutoff)[None, :]
+    return coarse, fine
+
+
 class TestCoupledDyadic:
+    @pytest.mark.parametrize(
+        "n, m, cutoff, start",
+        [
+            (2, 3, (4, 4), 0),
+            (2, 4, (4, 4), 5),
+            (1, 4, (3, 3), 0),
+            (2, 3, (3, 5), 2**40),
+            (3, 3, (2, 4), 9),
+        ],
+    )
+    def test_bit_exact_against_two_call_draw(self, n, m, cutoff, start):
+        p = GibbsParams(gamma=1.3, period=2.0**n, cutoff=cutoff)
+        stream = RngStream(31, 4)
+        coarse, fine, _ = coupled_dyadic_matrices(n, m, p, stream, 6, start=start)
+        ref_coarse, ref_fine = _two_call_coupled(n, m, p, stream, 6, start)
+        assert coarse.tobytes() == ref_coarse.tobytes()
+        assert fine.tobytes() == ref_fine.tobytes()
+
+    def test_draws_each_deviate_once(self, monkeypatch):
+        # cutoff (4, 3), refinement 2: the fine box (8, 6) has 8 * 13 + 6 = 110
+        # modes; block modes past it are j = 1 of coarse k1 = 4 (7 modes) and
+        # of k2 = 3 with k1 = 0 .. 3 (4 modes)
+        drawn = []
+        original = gibbs.standard_complex_normals
+
+        def counting(stream, start, count, k1, k2):
+            out = original(stream, start, count, k1, k2)
+            drawn.append(out[0].size)
+            return out
+
+        monkeypatch.setattr(gibbs, "standard_complex_normals", counting)
+        p = GibbsParams(gamma=1.0, period=4.0, cutoff=(4, 3))
+        coupled_dyadic_matrices(2, 3, p, RngStream(3), 2)
+        assert drawn == [110, 11]
+
     def test_degenerate_identity(self):
         p = GibbsParams(gamma=1.0, period=2.0**3, cutoff=(8, 8))
         coarse, fine = coupled_dyadic_pair(3, 3, p, RngStream(5, 1), index=2)
