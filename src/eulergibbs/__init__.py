@@ -14,7 +14,6 @@ from ._meta import VERSION as __version__
 from .drift import (
     alpha,
     drift,
-    drift_pseudospectral,
     jacobian_trace_estimate,
     quadratic_derivative,
 )
@@ -22,7 +21,6 @@ from .flow import IntegratorConfig, Trajectory, evolve, step
 from .gibbs import (
     GibbsParams,
     RngStream,
-    coupled_dyadic_pair,
     field_covariance,
     log_density_ratio,
     sample,
@@ -67,11 +65,9 @@ __all__ = [
     "alpha",
     "cauchy_scan",
     "continuity_probe",
-    "coupled_dyadic_pair",
     "cross_period_distance",
     "default_observables",
     "drift",
-    "drift_pseudospectral",
     "energy",
     "enstrophy",
     "evaluate",

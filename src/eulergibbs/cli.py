@@ -158,12 +158,22 @@ def _cutoff_pair(text: str) -> tuple[int, int]:
     return (values[0], values[1])
 
 
-def _list(inner: Callable[[str], object], min_items: int = 1) -> Callable[[str], tuple]:
+def _list(
+    inner: Callable[[str], object],
+    min_items: int = 1,
+    increasing: bool = False,
+    distinct: bool = False,
+) -> Callable[[str], tuple]:
     def convert(text: str) -> tuple:
         parts = [part.strip() for part in text.split(",") if part.strip()]
         if len(parts) < min_items:
             raise ConfigError(f"need at least {min_items} values, got {len(parts)}")
-        return tuple(inner(part) for part in parts)
+        values = tuple(inner(part) for part in parts)
+        if increasing and any(b <= a for a, b in zip(values, values[1:])):
+            raise ConfigError(f"values must strictly increase, got {text!r}")
+        if distinct and len(set(values)) < len(values):
+            raise ConfigError(f"values must be pairwise distinct, got {text!r}")
+        return values
 
     return convert
 
@@ -233,9 +243,9 @@ CONFIG_SCHEMAS: dict[str, dict[str, Option]] = {
         "gamma": _GIBBS_KEYS["gamma"],
         "period": _GIBBS_KEYS["period"],
         "cutoffs": Option(
-            _list(_integer(1), min_items=2),
+            _list(_integer(1), min_items=2, increasing=True),
             (4, 6, 8, 10, 12),
-            "square cutoff ladder N,N,... (at least two)",
+            "strictly increasing square cutoff ladder N,N,... (at least two)",
         ),
         "betas": Option(_list(_number()), (-2.0, -1.5, -0.9), "Sobolev orders to scan"),
         "exponents": Option(
@@ -271,7 +281,9 @@ CONFIG_SCHEMAS: dict[str, dict[str, Option]] = {
         **_INTEGRATOR_KEYS,
         "dt": Option(_number(0.0, exclusive=True), 1e-2, "step size"),
         "t_final": Option(_number(), 0.5, "integration horizon (sign sets direction)"),
-        "deltas": Option(_list(_number(0.0)), (0.1, 0.01, 0.001), "perturbation sizes"),
+        "deltas": Option(
+            _list(_number(0.0), distinct=True), (0.1, 0.01, 0.001), "distinct perturbation sizes"
+        ),
         "ensemble": Option(_integer(2), 200, "base points per delta"),
         "order": Option(_number(), -1.5, "Sobolev order of the local metric"),
         "level_max": Option(_integer(1), 4, "largest metric window"),

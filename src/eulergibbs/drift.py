@@ -27,7 +27,6 @@ derivative symbols.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -73,14 +72,6 @@ def alpha(h: Sequence[int], k: Sequence[int], period: float) -> float:
     k_sq = k1 * k1 + k2 * k2
     numerator = cross * (2 * (k1 * h1 + k2 * h2) - k_sq)
     return (TWO_PI**2 / float(period) ** 3) * (numerator / float(2 * k_sq))
-
-
-@dataclass(frozen=True)
-class DriftResult:
-    """A drift evaluation: the time-derivative field plus the method that produced it."""
-
-    field: SpectralField
-    method: str
 
 
 @dataclass(frozen=True)
@@ -179,9 +170,13 @@ def _triad_batch(coeffs: np.ndarray, period: float, cutoff: Mode) -> np.ndarray:
     return out
 
 
-def _check_grid(grid: int, cutoff: Mode) -> int:
-    grid = int(grid)
+def _check_grid(grid: int | None, cutoff: Mode) -> int:
+    """The collocation grid size: by default 4x the max cutoff component, the
+    dealiasing minimum; an explicit grid below that minimum is rejected."""
     needed = 4 * max(cutoff)
+    if grid is None:
+        return needed
+    grid = int(grid)
     if grid < needed:
         raise ValueError(
             f"insufficient grid {grid} for cutoff {cutoff}: "
@@ -265,7 +260,7 @@ def _pseudo_plan(period: float, cutoff: Mode, m: int) -> _PseudoPlan:
     return plan
 
 
-def _pseudo_batch(coeffs: np.ndarray, period: float, cutoff: Mode, grid: int) -> np.ndarray:
+def _pseudo_batch(coeffs: np.ndarray, period: float, cutoff: Mode, grid: int | None) -> np.ndarray:
     m = _check_grid(grid, cutoff)
     plan = _pseudo_plan(float(period), cutoff, m)
     chunk = max(1, _PSEUDO_FIELD_BYTES // (8 * m * m))
@@ -341,30 +336,20 @@ def drift_batch(
     if method == TRIAD_SUM:
         return _triad_batch(coeffs, period, cutoff)
     if method == PSEUDO_SPECTRAL:
-        if grid is None:
-            grid = 4 * max(cutoff)
         return _pseudo_batch(coeffs, period, cutoff, grid)
     raise ValueError(f"unknown drift method {method!r}")
 
 
-def drift(f: SpectralField) -> DriftResult:
-    """The Galerkin drift B(phi) via the exact triad table."""
-    coeffs = _triad_batch(f.coeffs[None, :], f.period, f.cutoff)[0]
-    return DriftResult(field=f.with_coeffs(coeffs), method=TRIAD_SUM)
+def drift(f: SpectralField, method: str = TRIAD_SUM, grid: int | None = None) -> SpectralField:
+    """The Galerkin drift B(phi) of one field, as the drift_batch row of f.
 
-
-def drift_pseudospectral(f: SpectralField, grid: int | None = None) -> DriftResult:
-    """The drift via the zero-padded collocation oracle.
-
-    Differentiates the truncated series spectrally on a uniform grid of the
-    given size (default 4x the max cutoff component, the dealiasing minimum),
-    multiplies pointwise, and projects back onto the box. Agrees with drift()
-    to round-off because the padding leaves no aliased triad.
+    method is TRIAD_SUM (the exact triad table) or PSEUDO_SPECTRAL (the
+    zero-padded collocation oracle on a grid of the given size, by default 4x
+    the max cutoff component, the dealiasing minimum); grid applies to the
+    collocation only. The two agree to round-off because the padding leaves
+    no aliased triad.
     """
-    if grid is None:
-        grid = 4 * max(f.cutoff)
-    coeffs = _pseudo_batch(f.coeffs[None, :], f.period, f.cutoff, grid)[0]
-    return DriftResult(field=f.with_coeffs(coeffs), method=PSEUDO_SPECTRAL)
+    return f.with_coeffs(drift_batch(f.coeffs[None, :], f.period, f.cutoff, method, grid)[0])
 
 
 def quadratic_derivative(f: SpectralField, functional: str) -> float:
@@ -377,9 +362,9 @@ def quadratic_derivative(f: SpectralField, functional: str) -> float:
     orders = {"energy": 1.0, "enstrophy": 2.0}
     if functional not in orders:
         raise ValueError(f"functional must be one of {sorted(orders)}, got {functional!r}")
-    rate = drift(f).field
+    rate = drift(f).coeffs
     weights = _sobolev_weights(f.period, f.cutoff, orders[functional])
-    return 2.0 * float(np.dot(weights, (np.conj(f.coeffs) * rate.coeffs).real))
+    return 2.0 * float(np.dot(weights, (np.conj(f.coeffs) * rate).real))
 
 
 @dataclass(frozen=True)
@@ -407,7 +392,7 @@ def jacobian_trace_estimate(f: SpectralField, eps: float = 1e-5) -> JacobianTrac
     deltas[idx, idx] = eps
     deltas[m + idx, idx] = 1j * eps
     batch = np.concatenate([f.coeffs[None, :] + deltas, f.coeffs[None, :] - deltas])
-    rates = _triad_batch(batch, f.period, f.cutoff)
+    rates = drift_batch(batch, f.period, f.cutoff)
     columns = (rates[:dim] - rates[dim:]) / (2.0 * eps)
     # row j is dF/dx_j with F in complex form; flatten to real coordinates
     jacobian_t = np.concatenate([columns.real, columns.imag], axis=1)
@@ -416,32 +401,3 @@ def jacobian_trace_estimate(f: SpectralField, eps: float = 1e-5) -> JacobianTrac
         frobenius_norm=float(np.sqrt(np.sum(jacobian_t * jacobian_t))),
     )
 
-
-def write_triad_contributions(f: SpectralField, path) -> int:
-    """Debugging dump: one CSV row per unordered triad pair contributing to drift(f).
-
-    Columns are k1,k2,h1,h2,alpha,contribution where h is the pair's member
-    with the lower signed-mode index, alpha the symmetric closed-form
-    coefficient of the triad and contribution the pair's term added to B_k;
-    the rows of each k sum to B_k. Returns the number of rows written.
-    """
-    table = _triad_table(f.cutoff)
-    k1, k2 = mode_arrays(f.cutoff)
-    signed1 = np.concatenate([k1, -k1])
-    signed2 = np.concatenate([k2, -k2])
-    signed = np.concatenate([f.coeffs, np.conj(f.coeffs)])
-    prefactor = TWO_PI**2 / f.period**3
-    terms = prefactor * table.matrix.data * signed[table.u_idx] * signed[table.v_idx]
-    indptr = table.matrix.indptr
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["k1", "k2", "h1", "h2", "alpha", "contribution"])
-        for p in range(k1.size):
-            k = (int(k1[p]), int(k2[p]))
-            for i in range(indptr[p], indptr[p + 1]):
-                u = table.u_idx[i]
-                h = (int(signed1[u]), int(signed2[u]))
-                writer.writerow(
-                    [*k, *h, repr(alpha(h, k, f.period)), repr(complex(terms[i]))]
-                )
-    return int(terms.size)

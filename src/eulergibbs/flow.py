@@ -22,12 +22,13 @@ the first failed step; step is evolve over one signed dt.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -39,6 +40,8 @@ SCHEMES = ("rk4", "implicit_midpoint")
 TRAJECTORY_SCHEMA = "trajectory.v1"
 
 T = TypeVar("T")
+
+_MAX_STEPS = 2.0**53
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,12 @@ class IntegratorConfig:
         object.__setattr__(self, "max_fixed_point_iters", int(self.max_fixed_point_iters))
         if self.drift_method not in (TRIAD_SUM, PSEUDO_SPECTRAL):
             raise ValueError(f"unknown drift_method {self.drift_method!r}")
+        if abs(self.t_final) / self.dt > _MAX_STEPS:
+            # snapshot times are (index + 1) * dt, exact only while index + 1 <= 2^53
+            raise ValueError(
+                f"t_final / dt = {abs(self.t_final) / self.dt:.6g} exceeds the "
+                f"2^53 steps whose times are exact"
+            )
 
 
 class IntegrationError(RuntimeError):
@@ -138,18 +147,32 @@ class EnsembleEvolution:
     failed_members: tuple[int, ...] = dataclass_field(default=())
 
 
-def _plan_steps(dt: float, t_final: float) -> list[float]:
-    """Signed step sizes covering t_final exactly: whole dt steps plus a remainder."""
-    if t_final == 0.0:
-        return []
+@dataclass(frozen=True)
+class _StepPlan:
+    """Signed step sizes covering t_final exactly: count whole steps of size
+    step, then the remainder unless it is 0.0. Iterating yields them in order;
+    the plan itself is O(1) in the horizon."""
+
+    step: float
+    count: int
+    remainder: float
+
+    def __len__(self) -> int:
+        return self.count + (self.remainder != 0.0)
+
+    def __iter__(self) -> Iterator[float]:
+        yield from itertools.repeat(self.step, self.count)
+        if self.remainder != 0.0:
+            yield self.remainder
+
+
+def _plan_steps(dt: float, t_final: float) -> _StepPlan:
+    """The step plan of a horizon: whole dt steps plus a remainder."""
     sign = 1.0 if t_final > 0.0 else -1.0
     span = abs(t_final)
     count = int(math.floor(span / dt + 1e-9))
     remainder = span - count * dt
-    steps = [sign * dt] * count
-    if remainder > 1e-9 * dt:
-        steps.append(sign * remainder)
-    return steps
+    return _StepPlan(sign * dt, count, sign * remainder if remainder > 1e-9 * dt else 0.0)
 
 
 def _rhs(coeffs: np.ndarray, period: float, cutoff: Mode, cfg: IntegratorConfig) -> np.ndarray:
@@ -207,7 +230,7 @@ def _advance(
 
 
 def _march(
-    coeffs: np.ndarray, steps: Sequence[float], period: float, cutoff: Mode, cfg: IntegratorConfig
+    coeffs: np.ndarray, steps: Iterable[float], period: float, cutoff: Mode, cfg: IntegratorConfig
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """Advance a copy of coeffs through the planned steps, yielding after each one.
 
@@ -314,7 +337,7 @@ def evolve(f: SpectralField, cfg: IntegratorConfig) -> Trajectory:
         is_last = index == len(steps) - 1
         # every step but the last is a whole signed dt, so times come from the
         # step index rather than a running sum, and the final one is exact
-        t = float(cfg.t_final) if is_last else (index + 1) * steps[index]
+        t = float(cfg.t_final) if is_last else (index + 1) * steps.step
         if stalled.size:
             raise IntegrationError(
                 f"implicit midpoint failed to reach tol={cfg.fixed_point_tol} within "

@@ -39,7 +39,15 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from .spectral import Mode, SpectralField, TWO_PI, _check_cutoff, enstrophy, mode_arrays
+from .spectral import (
+    Mode,
+    SpectralField,
+    TWO_PI,
+    _box_slots,
+    _check_cutoff,
+    enstrophy,
+    mode_arrays,
+)
 
 GENERATOR_NAME = "philox4x64-10+inverse-normal"
 
@@ -255,13 +263,8 @@ def coupled_dyadic_matrices(
     n1, n2 = fine_params.cutoff
     # block modes are positive and have k2 >= -n2, so only the upper bounds can fail
     inside = (block1 <= n1) & (block2 <= n2)
-    # position in mode_box(fine cutoff): the k1 = 0 row holds k2 = 1 .. n2,
-    # then each k1 >= 1 row holds k2 = -n2 .. n2
-    position = np.where(
-        block1 == 0, block2 - 1, n2 + (block1 - 1) * (2 * n2 + 1) + block2 + n2
-    )
     zeta = np.empty((count,) + block1.shape, dtype=np.complex128)
-    zeta[:, inside] = fine[:, position[inside]]
+    zeta[:, inside] = fine[:, _box_slots(fine_params.cutoff, block1[inside], block2[inside])]
     zeta[:, ~inside] = standard_complex_normals(
         rng, start, count, block1[~inside], block2[~inside]
     )
@@ -271,13 +274,3 @@ def coupled_dyadic_matrices(
     fine *= _sigma_vector(fine_params.gamma, fine_params.period, fine_params.cutoff)
     return coarse, fine, fine_params
 
-
-def coupled_dyadic_pair(
-    n: int, m: int, p_base: GibbsParams, rng: RngStream, index: int = 0
-) -> tuple[SpectralField, SpectralField]:
-    """One coupled (coarse, fine) draw; see coupled_dyadic_matrices."""
-    coarse, fine, fine_params = coupled_dyadic_matrices(n, m, p_base, rng, 1, start=index)
-    return (
-        SpectralField(p_base.period, p_base.cutoff, coarse[0]),
-        SpectralField(fine_params.period, fine_params.cutoff, fine[0]),
-    )

@@ -82,6 +82,15 @@ def mode_arrays(cutoff: Mode) -> tuple[np.ndarray, np.ndarray]:
     return k1, k2
 
 
+def _box_slots(cutoff: Mode, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+    """Slots of the positive modes (k1, k2) in mode_box(cutoff), elementwise.
+
+    The k1 = 0 row holds k2 = 1 .. N2 and each k1 >= 1 row holds
+    k2 = -N2 .. N2, so mode k sits at k1 (2 N2 + 1) + k2 - 1.
+    """
+    return k1 * (2 * cutoff[1] + 1) + k2 - 1
+
+
 @lru_cache(maxsize=None)
 def mode_index(cutoff: Mode) -> Mapping[Mode, int]:
     return {k: i for i, k in enumerate(mode_box(cutoff))}
@@ -467,10 +476,6 @@ def _embed(f: SpectralField, cutoff: Sequence[int], ratio: int = 1) -> SpectralF
             f"cannot embed cutoff {f.cutoff} at period ratio {ratio} into box {cutoff}"
         )
     k1, k2 = mode_arrays(f.cutoff)
-    m1, m2 = ratio * k1, ratio * k2
-    n2 = cutoff[1]
-    # lexicographic slot in mode_box(cutoff): (0, 1..N2) first, then rows of 2 N2 + 1
-    slots = np.where(m1 == 0, m2 - 1, n2 + (m1 - 1) * (2 * n2 + 1) + m2 + n2)
     coeffs = np.zeros(mode_count(cutoff), dtype=np.complex128)
-    coeffs[slots] = f.coeffs * ratio
+    coeffs[_box_slots(cutoff, ratio * k1, ratio * k2)] = f.coeffs * ratio
     return SpectralField(f.period * ratio, cutoff, coeffs)

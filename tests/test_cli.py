@@ -4,6 +4,9 @@ codes, output files, manifests, and byte-level reproducibility."""
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -128,6 +131,28 @@ class TestConfigGrammar:
         assert not (out / "report.json").exists()
         assert resolve_config("moments", None, ["cutoffs=4,6"])["cutoffs"] == (4, 6)
 
+    def test_cutoff_ladder_and_deltas_must_be_ordered_and_distinct(self):
+        for item in ("cutoffs=6,6", "cutoffs=4,8,6", "cutoffs=8,6"):
+            with pytest.raises(ConfigError, match="'cutoffs'.*strictly increase"):
+                resolve_config("moments", None, [item])
+        for item in ("deltas=0.1,0.1", "deltas=0.1,0.01,0.10", "deltas=0,0.1,-0"):
+            with pytest.raises(ConfigError, match="'deltas'.*pairwise distinct"):
+                resolve_config("continuity", None, [item])
+        assert resolve_config("moments", None, ["cutoffs=2,3,8"])["cutoffs"] == (2, 3, 8)
+        deltas = resolve_config("continuity", None, ["deltas=0.01,0.1,0"])["deltas"]
+        assert deltas == (0.01, 0.1, 0.0)
+
+    def test_importing_the_cli_leaves_scipy_sparse_unloaded(self):
+        # the triad table imports scipy.sparse on first use; at import time it
+        # would add its load to every run's startup, drift or not
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import sys, eulergibbs.cli; print('scipy.sparse' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert done.stdout.strip() == "False"
+
     @pytest.mark.parametrize(
         "argv, resolved",
         [
@@ -147,6 +172,29 @@ class TestConfigGrammar:
             pytest.param(["moments", "--set", "betas=nan"], False, id="moments-betas-nan"),
             pytest.param(["cauchy", "--set", "order=1"], False, id="cauchy-order-1"),
             pytest.param(["continuity", "--set", "bogus=1"], False, id="continuity-unknown-key"),
+            # more than 2^53 steps: a step list of this horizon would not fit in memory
+            pytest.param(
+                ["evolve", "--set", "dt=1e-12", "--set", "t_final=1e6"],
+                True,
+                id="evolve-more-than-2^53-steps",
+            ),
+            # identical rungs or deltas would pass their verdicts by construction
+            pytest.param(
+                ["moments", "--set", "cutoffs=6,6", "--set", "ensemble=50"],
+                False,
+                id="moments-identical-rungs",
+            ),
+            pytest.param(
+                [
+                    "continuity",
+                    "--set", "deltas=0.1,0.1",
+                    "--set", "ensemble=8",
+                    "--set", "dt=0.05",
+                    "--set", "t_final=0.1",
+                ],
+                False,
+                id="continuity-repeated-delta",
+            ),
         ],
     )
     def test_config_failure_writes_a_manifest(self, tmp_path, capsys, argv, resolved):

@@ -18,10 +18,8 @@ from eulergibbs.drift import (
     alpha,
     drift,
     drift_batch,
-    drift_pseudospectral,
     jacobian_trace_estimate,
     quadratic_derivative,
-    write_triad_contributions,
 )
 from eulergibbs.flow import IntegratorConfig, evolve_coeffs
 from eulergibbs.spectral import SpectralField, mode_arrays, mode_box, sobolev_norm
@@ -92,14 +90,12 @@ class TestAlpha:
 class TestTriadDrift:
     def test_zero_field(self):
         z = SpectralField.zeros(TWO_PI, (4, 4))
-        result = drift(z)
-        assert result.method == TRIAD_SUM
-        assert np.all(result.field.coeffs == 0.0)
+        assert np.all(drift(z).coeffs == 0.0)
 
     def test_single_mode_exact_steady(self, rng):
         for k0 in ((1, 0), (2, 3), (0, 2)):
             f = SpectralField.from_modes(TWO_PI, (4, 4), {k0: 0.7 - 0.3j})
-            assert np.all(drift(f).field.coeffs == 0.0)
+            assert np.all(drift(f).coeffs == 0.0)
 
     def test_single_shell_steady(self, rng):
         # equal-shell pairs have weight 0 and are absent from the triad table,
@@ -107,7 +103,7 @@ class TestTriadDrift:
         f = SpectralField.from_modes(
             TWO_PI, (4, 4), {(1, 0): 1.1 + 0.2j, (0, 1): -0.4 + 0.9j}
         )
-        assert np.all(drift(f).field.coeffs == 0.0)
+        assert np.all(drift(f).coeffs == 0.0)
 
     def test_larger_shell_exactly_steady(self):
         for radius_sq in (5, 25, 50):
@@ -118,7 +114,7 @@ class TestTriadDrift:
                 if k1 * k1 + k2 * k2 == radius_sq and ((k1, k2) > (0, 0) if k1 == 0 else k1 > 0)
             }
             f = SpectralField.from_modes(TWO_PI, (8, 8), coeffs)
-            assert np.all(drift(f).field.coeffs == 0.0)
+            assert np.all(drift(f).coeffs == 0.0)
 
     def test_two_mode_component(self):
         # phi_(1,0) = phi_(1,1) = 1 pumps mode (2,1) at rate 1/(10 pi); the
@@ -126,7 +122,7 @@ class TestTriadDrift:
         # (cross-checked against the collocation oracle below and at build
         # time against an independent transform script)
         f = SpectralField.from_modes(TWO_PI, (2, 2), {(1, 0): 1.0, (1, 1): 1.0})
-        rate = drift(f).field
+        rate = drift(f)
         b21 = rate.coeff((2, 1))
         assert b21.real == pytest.approx(1.0 / (10.0 * math.pi), rel=1e-13)
         assert b21.imag == pytest.approx(0.0, abs=1e-15)
@@ -134,20 +130,20 @@ class TestTriadDrift:
 
     def test_two_mode_all_components_against_oracle(self):
         f = SpectralField.from_modes(TWO_PI, (2, 2), {(1, 0): 1.0, (1, 1): 1.0})
-        direct = drift(f).field
-        oracle = drift_pseudospectral(f).field
+        direct = drift(f)
+        oracle = drift(f, PSEUDO_SPECTRAL)
         np.testing.assert_allclose(direct.coeffs, oracle.coeffs, rtol=0, atol=1e-13)
 
     def test_quadratic_homogeneity_exact(self, rng):
         f = random_field(rng, TWO_PI, (4, 4))
-        doubled = drift(2.0 * f).field
-        assert np.array_equal(doubled.coeffs, 4.0 * drift(f).field.coeffs)
+        doubled = drift(2.0 * f)
+        assert np.array_equal(doubled.coeffs, 4.0 * drift(f).coeffs)
 
     def test_homogeneity_general_scale(self, rng):
         f = random_field(rng, 3.0, (3, 3))
         c = 1.37
-        scaled = drift(c * f).field
-        np.testing.assert_allclose(scaled.coeffs, c**2 * drift(f).field.coeffs, rtol=1e-12)
+        scaled = drift(c * f)
+        np.testing.assert_allclose(scaled.coeffs, c**2 * drift(f).coeffs, rtol=1e-12)
 
     def test_batch_matches_single(self, rng):
         # at (8, 8) the batch spans three chunks of the triad byte budget
@@ -156,7 +152,34 @@ class TestTriadDrift:
             fields = [random_field(rng, TWO_PI, cutoff) for _ in range(count)]
             batch = drift_batch(np.stack([f.coeffs for f in fields]), TWO_PI, cutoff)
             for row, f in zip(batch, fields):
-                assert np.array_equal(row, drift(f).field.coeffs)
+                assert np.array_equal(row, drift(f).coeffs)
+
+
+class TestSingleFieldDrift:
+    @pytest.mark.parametrize("method", [TRIAD_SUM, PSEUDO_SPECTRAL])
+    def test_bitwise_equal_to_the_batch_row(self, method, rng):
+        fields = [decaying_field(rng, 3.3, (5, 4)) for _ in range(4)]
+        batch = drift_batch(np.stack([f.coeffs for f in fields]), 3.3, (5, 4), method)
+        for row, f in zip(batch, fields):
+            rate = drift(f, method)
+            assert isinstance(rate, SpectralField)
+            assert rate.same_lattice(f)
+            assert rate.coeffs.tobytes() == row.tobytes()
+
+    def test_explicit_grid_is_honoured(self, rng):
+        f = decaying_field(rng, TWO_PI, (4, 4))
+        for grid in (16, 21, 32):
+            row = drift_batch(f.coeffs[None, :], TWO_PI, (4, 4), PSEUDO_SPECTRAL, grid=grid)[0]
+            assert drift(f, PSEUDO_SPECTRAL, grid=grid).coeffs.tobytes() == row.tobytes()
+        # the default is the dealiasing minimum 4 * max cutoff, and below it is an error
+        default = drift(f, PSEUDO_SPECTRAL)
+        assert default.coeffs.tobytes() == drift(f, PSEUDO_SPECTRAL, grid=16).coeffs.tobytes()
+        with pytest.raises(ValueError, match="insufficient grid 15"):
+            drift(f, PSEUDO_SPECTRAL, grid=15)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown drift method"):
+            drift(SpectralField.zeros(TWO_PI, (2, 2)), "spectral")
 
 
 def unordered_triads(cutoff):
@@ -214,25 +237,23 @@ class TestTriadTable:
 class TestPseudoSpectralOracle:
     def test_zero_field(self):
         z = SpectralField.zeros(TWO_PI, (3, 3))
-        result = drift_pseudospectral(z)
-        assert result.method == PSEUDO_SPECTRAL
-        assert np.all(result.field.coeffs == 0.0)
+        assert np.all(drift(z, PSEUDO_SPECTRAL).coeffs == 0.0)
 
     def test_single_mode_steady(self):
         f = SpectralField.from_modes(TWO_PI, (3, 3), {(2, 1): 1.0 + 0.5j})
-        assert sobolev_norm(drift_pseudospectral(f).field, 0.0) <= 1e-12
+        assert sobolev_norm(drift(f, PSEUDO_SPECTRAL), 0.0) <= 1e-12
 
     def test_insufficient_grid_rejected(self, rng):
         f = random_field(rng, TWO_PI, (4, 4))
         with pytest.raises(ValueError):
-            drift_pseudospectral(f, grid=15)
+            drift(f, PSEUDO_SPECTRAL, grid=15)
 
     def test_agreement_on_gibbs_like_fields(self, rng):
         for cutoff in ((4, 4), (6, 6)):
             for _ in range(3):
                 f = decaying_field(rng, TWO_PI, cutoff)
-                direct = drift(f).field
-                oracle = drift_pseudospectral(f).field
+                direct = drift(f)
+                oracle = drift(f, PSEUDO_SPECTRAL)
                 scale = sobolev_norm(direct, 0.0)
                 err = sobolev_norm(direct - oracle, 0.0)
                 assert err <= 1e-10 * scale
@@ -246,15 +267,15 @@ class TestPseudoSpectralOracle:
     @settings(max_examples=60, deadline=None)
     def test_triad_matches_collocation_property(self, n1, n2, period, seed):
         field = random_field(np.random.default_rng(seed), period, (n1, n2))
-        direct = drift(field).field.coeffs
-        oracle = drift_pseudospectral(field).field.coeffs
+        direct = drift(field).coeffs
+        oracle = drift(field, PSEUDO_SPECTRAL).coeffs
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(direct - oracle)) <= 1e-12 * scale + 1e-300
 
     def test_agreement_off_unit_period(self, rng):
         f = decaying_field(rng, 3.7, (5, 5))
-        direct = drift(f).field
-        oracle = drift_pseudospectral(f, grid=24).field
+        direct = drift(f)
+        oracle = drift(f, PSEUDO_SPECTRAL, grid=24)
         assert sobolev_norm(direct - oracle, 0.0) <= 1e-10 * sobolev_norm(direct, 0.0)
 
 
@@ -334,7 +355,7 @@ class TestPrunedCollocation:
         batch = drift_batch(coeffs, 3.3, cutoff, PSEUDO_SPECTRAL, grid=grid)
         for row, single in zip(batch, coeffs):
             f = SpectralField(3.3, cutoff, single)
-            assert row.tobytes() == drift_pseudospectral(f, grid=grid).field.coeffs.tobytes()
+            assert row.tobytes() == drift(f, PSEUDO_SPECTRAL, grid=grid).coeffs.tobytes()
 
     def test_evolve_threads_are_bitwise_irrelevant(self, rng):
         cutoff, grid = (6, 6), 24
@@ -395,7 +416,7 @@ class TestConservation:
 
         for _ in range(20):
             f = decaying_field(rng, TWO_PI, (5, 5))
-            rate = drift(f).field
+            rate = drift(f)
             scale = enstrophy(f) ** 0.5 * sobolev_norm(rate, 0.0)
             assert abs(quadratic_derivative(f, functional)) <= 1e-10 * max(scale, 1e-30)
 
@@ -424,35 +445,3 @@ class TestJacobianTrace:
         with pytest.raises(ValueError):
             jacobian_trace_estimate(f, eps=0.0)
 
-
-class TestContributionDump:
-    def test_rows_sum_to_drift(self, rng, tmp_path):
-        import csv as csv_mod
-        from collections import defaultdict
-
-        f = SpectralField.from_modes(TWO_PI, (2, 2), {(1, 0): 1.0, (1, 1): 1.0})
-        path = tmp_path / "triads.csv"
-        rows = write_triad_contributions(f, path)
-        assert rows > 0
-        sums = defaultdict(complex)
-        with open(path) as handle:
-            for row in csv_mod.DictReader(handle):
-                sums[(int(row["k1"]), int(row["k2"]))] += complex(row["contribution"])
-        rate = drift(f).field
-        for k, total in sums.items():
-            assert total == pytest.approx(rate.coeff(k), rel=1e-12, abs=1e-15)
-        assert sums[(2, 1)].real == pytest.approx(1.0 / (10.0 * math.pi), rel=1e-12)
-
-    def test_alpha_column_consistent(self, tmp_path):
-        import csv as csv_mod
-
-        f = SpectralField.from_modes(TWO_PI, (2, 2), {(1, 0): 1.0, (1, 1): 1.0})
-        path = tmp_path / "triads.csv"
-        write_triad_contributions(f, path)
-        with open(path) as handle:
-            for row in csv_mod.DictReader(handle):
-                h = (int(row["h1"]), int(row["h2"]))
-                k = (int(row["k1"]), int(row["k2"]))
-                assert float(row["alpha"]) == pytest.approx(
-                    alpha(h, k, TWO_PI), rel=1e-15, abs=1e-300
-                )

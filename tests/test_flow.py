@@ -1,5 +1,6 @@
 """Integrator schemes: steady states, order, reversibility, conservation, batching."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from eulergibbs.flow import (
     IntegratorConfig,
     Trajectory,
     _openblas_threads,
+    _plan_steps,
     evolve,
     evolve_coeffs,
     map_row_blocks,
@@ -48,6 +50,36 @@ class TestConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             IntegratorConfig(**kwargs)
+
+
+class TestStepPlan:
+    @pytest.mark.parametrize(
+        "dt, t_final, expected",
+        [
+            (1e-3, 0.003, [1e-3] * 3),
+            (0.3, 1.0, [0.3, 0.3, 0.3, 1.0 - 3 * 0.3]),
+            (0.3, -1.0, [-0.3, -0.3, -0.3, -(1.0 - 3 * 0.3)]),
+            (0.25, 0.1, [0.1]),
+            (1e-3, 0.0, []),
+        ],
+    )
+    def test_whole_steps_then_the_remainder(self, dt, t_final, expected):
+        plan = _plan_steps(dt, t_final)
+        assert list(plan) == expected
+        assert len(plan) == len(expected)
+
+    def test_plan_size_does_not_grow_with_the_horizon(self):
+        plan = _plan_steps(0.5, 2.0**52)
+        assert len(plan) == 2**53
+        assert list(itertools.islice(plan, 3)) == [0.5] * 3
+
+    def test_more_than_2_53_steps_rejected(self):
+        # (index + 1) * dt gives exact snapshot times only up to 2^53 steps
+        IntegratorConfig(dt=0.5, t_final=2.0**52)
+        IntegratorConfig(dt=0.5, t_final=-(2.0**52))
+        for dt, t_final in ((0.5, 2.0**52 + 1.0), (1e-12, 1e6), (5e-324, 1.0), (1e-3, -1e300)):
+            with pytest.raises(ValueError, match="2\\^53 steps"):
+                IntegratorConfig(dt=dt, t_final=t_final)
 
 
 class TestStep:

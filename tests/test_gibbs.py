@@ -16,7 +16,6 @@ from eulergibbs.gibbs import (
     _sigma_vector,
     _to_uniform,
     coupled_dyadic_matrices,
-    coupled_dyadic_pair,
     field_covariance,
     log_density_ratio,
     pack_mode,
@@ -397,27 +396,27 @@ class TestCoupledDyadic:
 
     def test_degenerate_identity(self):
         p = GibbsParams(gamma=1.0, period=2.0**3, cutoff=(8, 8))
-        coarse, fine = coupled_dyadic_pair(3, 3, p, RngStream(5, 1), index=2)
-        assert coarse.period == fine.period
-        assert np.array_equal(coarse.coeffs, fine.coeffs)
+        coarse, fine, fine_params = coupled_dyadic_matrices(3, 3, p, RngStream(5, 1), 1, start=2)
+        assert fine_params.period == p.period
+        assert np.array_equal(coarse, fine)
 
     def test_invalid_refinement_rejected(self):
         p = GibbsParams(gamma=1.0, period=2.0**3, cutoff=(8, 8))
         with pytest.raises(ValueError):
-            coupled_dyadic_pair(3, 2, p, RngStream(5, 1))
+            coupled_dyadic_matrices(3, 2, p, RngStream(5, 1), 1, start=0)
 
     def test_base_period_must_match_level(self):
         p = GibbsParams(gamma=1.0, period=5.0, cutoff=(4, 4))
         with pytest.raises(ValueError):
-            coupled_dyadic_pair(2, 3, p, RngStream(5, 1))
+            coupled_dyadic_matrices(2, 3, p, RngStream(5, 1), 1, start=0)
 
     def test_fine_level_geometry(self):
         p = GibbsParams(gamma=1.0, period=4.0, cutoff=(4, 4))
-        coarse, fine = coupled_dyadic_pair(2, 4, p, RngStream(5, 1))
-        assert fine.period == 16.0
-        assert fine.cutoff == (16, 16)
+        _, _, fine_params = coupled_dyadic_matrices(2, 4, p, RngStream(5, 1), 1, start=0)
+        assert fine_params.period == 16.0
+        assert fine_params.cutoff == (16, 16)
         # equal mode density: both boxes cover frequencies up to 1 per unit length
-        assert fine.cutoff[0] / fine.period == coarse.cutoff[0] / coarse.period
+        assert fine_params.cutoff[0] / fine_params.period == p.cutoff[0] / p.period
 
     def test_coarse_marginal_variance(self):
         p = GibbsParams(gamma=1.0, period=4.0, cutoff=(4, 4))

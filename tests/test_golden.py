@@ -53,6 +53,26 @@ CASES = {
         ],
         (1, 2),
     ),
+    # at (8, 8) a triad chunk holds 5 rows, so each drift call crosses chunk boundaries
+    "invariance-8x8-rk4": (
+        [
+            "invariance",
+            "--set", "cutoff=8,8",
+            "--set", "ensemble=100",
+            "--set", "scheme=rk4",
+            "--set", "t_final=0.02",
+        ],
+        (1, 2),
+    ),
+    "evolve-pseudo": (
+        [
+            "evolve",
+            "--set", "drift_method=pseudo_spectral",
+            "--set", "dt=0.01",
+            "--set", "t_final=0.05",
+        ],
+        (1, 2),
+    ),
     "moments": (["moments", "--set", "cutoffs=4,6", "--set", "ensemble=20"], (1, 2)),
     "moments-triad": (
         [

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from eulergibbs.spectral import (
     SpectralField,
+    _box_slots,
     _embed,
     _metric_plan,
     _window_norms,
@@ -58,6 +59,14 @@ class TestModeBookkeeping:
         assert all(is_positive(k) for k in box)
         assert list(box) == sorted(box)
         assert len(set(box)) == len(box)
+
+    @given(st.integers(1, 8), st.integers(1, 8))
+    def test_box_slots_match_the_mode_index(self, n1, n2):
+        index = mode_index((n1, n2))
+        k1, k2 = np.array(mode_box((n1, n2)), dtype=np.int64).T
+        assert _box_slots((n1, n2), k1, k2).tolist() == [index[k] for k in mode_box((n1, n2))]
+        # 2-D mode arrays keep their shape
+        assert _box_slots((n1, n2), k1[None, ::-1], k2[None, ::-1]).shape == (1, k1.size)
 
     @given(st.integers(-9, 9), st.integers(-9, 9))
     def test_half_lattice_partition(self, k1, k2):
