@@ -2,7 +2,7 @@
 
 The package is organized by role:
 
-- spectral: positive-mode fields, Sobolev norms, point evaluation, local metrics
+- spectral: positive-mode fields, Sobolev norms, grid evaluation, local metrics
 - drift: the quadratic Galerkin drift (triad sum and pseudo-spectral oracle)
 - flow: time integration with conservation tracking
 - gibbs: counter-keyed Gaussian sampling of the enstrophy-Gibbs measures
@@ -44,7 +44,6 @@ from .spectral import (
     cross_period_distance,
     energy,
     enstrophy,
-    evaluate,
     evaluate_grid,
     is_positive,
     local_distance,
@@ -70,7 +69,6 @@ __all__ = [
     "drift",
     "energy",
     "enstrophy",
-    "evaluate",
     "evaluate_grid",
     "evolve",
     "field_covariance",

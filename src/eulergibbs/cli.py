@@ -14,10 +14,11 @@ count. The four report subcommands write the report's own dataclass fields
 and verdicts; the CLI decides no verdict itself.
 
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 config error (a bad
-key or value, --threads < 1, an unreadable initial field, or an argument the
-library rejects), 3 numeric failure inside the integrator. Once --out is a
-usable directory every run writes manifest.json; a failed run's manifest
-records the error, passed false and no outputs.
+key or value, --threads < 1, an unreadable initial field or one whose lattice
+disagrees with an explicit period or cutoff, an argument the library rejects,
+or a run that does not fit in memory), 3 numeric failure inside the
+integrator. Once --out is a usable directory every run writes manifest.json;
+a failed run's manifest records the error, passed false and no outputs.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import sys
 from dataclasses import asdict, dataclass, field as dataclass_field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -178,10 +179,6 @@ def _list(
     return convert
 
 
-def _text(text: str) -> str:
-    return text
-
-
 @dataclass(frozen=True)
 class Option:
     convert: Callable[[str], object]
@@ -217,7 +214,7 @@ CONFIG_SCHEMAS: dict[str, dict[str, Option]] = {
     "evolve": {
         **_GIBBS_KEYS,
         **_INTEGRATOR_KEYS,
-        "initial": Option(_text, "gibbs", "field file path, or gibbs to sample one"),
+        "initial": Option(str, "gibbs", "field file path, or gibbs to sample one"),
         "sample_index": Option(_integer(0), 0, "sample index when initial = gibbs"),
         "snapshot_stride": Option(_integer(0), 0, "record every n-th step (0 = endpoints)"),
         "round_trip": Option(_boolean, False, "also integrate back and check the return"),
@@ -318,9 +315,17 @@ def _read_config_file(path: str) -> dict[str, str]:
     return pairs
 
 
+class ResolvedConfig(dict):
+    """A fully typed config; explicit names the keys set in the file or by --set."""
+
+    def __init__(self, values: dict, explicit: Iterable[str]):
+        super().__init__(values)
+        self.explicit = frozenset(explicit)
+
+
 def resolve_config(
     subcommand: str, config_path: str | None, overrides: Sequence[str]
-) -> dict:
+) -> ResolvedConfig:
     """Merge file values and --set overrides into a fully typed config dict."""
     schema = CONFIG_SCHEMAS[subcommand]
     raw = _read_config_file(config_path) if config_path else {}
@@ -339,7 +344,7 @@ def resolve_config(
             resolved[key] = schema[key].convert(value)
         except ConfigError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}") from exc
-    return resolved
+    return ResolvedConfig(resolved, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -399,15 +404,10 @@ def _json_bytes(payload: dict) -> bytes:
     return (_dumps(payload, indent=2) + "\n").encode()
 
 
-def _jsonl_bytes(rows: Sequence[dict]) -> bytes:
-    lines = [_dumps(row) for row in rows]
-    return ("\n".join(lines) + "\n").encode()
-
-
-def _jsonl_lines(records: Iterable[dict]) -> Iterator[bytes]:
-    """The JSONL payload of records as one chunk per line, each encoded when
-    the writer asks for it, so no more than one record is held as text."""
-    return (_jsonl_bytes([record]) for record in records)
+def _jsonl_bytes(record: dict) -> bytes:
+    """One JSONL line. JSONL payloads are generators of these, each encoded
+    when the writer asks for it, so no more than one record is held as text."""
+    return (_dumps(record) + "\n").encode()
 
 
 def _csv_bytes(fieldnames: Sequence[str], rows: Sequence[dict]) -> bytes:
@@ -498,7 +498,7 @@ def _cmd_sample(config: dict, rng: RngStream, threads: int) -> CommandResult:
 
     return CommandResult(
         outputs={
-            "ensemble.jsonl": _jsonl_lines(records),
+            "ensemble.jsonl": (_jsonl_bytes(record) for record in records),
             "per_mode_stats.csv": _csv_bytes(list(stats_rows[0]), stats_rows),
         },
         schemas={"ensemble": ENSEMBLE_SCHEMA, "field": FIELD_SCHEMA},
@@ -508,7 +508,10 @@ def _cmd_sample(config: dict, rng: RngStream, threads: int) -> CommandResult:
     )
 
 
-def _load_initial_field(config: dict, rng: RngStream) -> SpectralField:
+def _load_initial_field(config: ResolvedConfig, rng: RngStream) -> SpectralField:
+    """The Gibbs sample or the field file that initial names. A file fixes the
+    lattice: an explicit period or cutoff that differs is a config error, and
+    the file's values replace the defaults, so the manifest records them."""
     if config["initial"] == "gibbs":
         return sample(_from_config(GibbsParams, config), rng, index=config["sample_index"])
     path = Path(config["initial"])
@@ -519,12 +522,20 @@ def _load_initial_field(config: dict, rng: RngStream) -> SpectralField:
     if isinstance(record, dict) and "field" in record:
         record = record["field"]
     try:
-        return SpectralField.from_record(record)
+        field = SpectralField.from_record(record)
     except ValueError as exc:
         raise ConfigError(f"bad field record in {path}: {exc}") from exc
+    for key, value in (("period", field.period), ("cutoff", field.cutoff)):
+        if config[key] != value:
+            if key in config.explicit:
+                raise ConfigError(
+                    f"{key} {config[key]} disagrees with {value} of the field in {path}"
+                )
+            config[key] = value
+    return field
 
 
-def _cmd_evolve(config: dict, rng: RngStream, threads: int) -> CommandResult:
+def _cmd_evolve(config: ResolvedConfig, rng: RngStream, threads: int) -> CommandResult:
     initial = _load_initial_field(config, rng)
     cfg = _from_config(IntegratorConfig, config)
     trajectory = evolve(initial, cfg)
@@ -545,8 +556,8 @@ def _cmd_evolve(config: dict, rng: RngStream, threads: int) -> CommandResult:
 
     return CommandResult(
         outputs={
-            "trajectory.jsonl": _jsonl_lines(
-                snapshot_record(t, f) for t, f in trajectory.samples
+            "trajectory.jsonl": (
+                _jsonl_bytes(snapshot_record(t, f)) for t, f in trajectory.samples
             )
         },
         verdicts=verdicts,
@@ -772,8 +783,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         result = COMMANDS[args.subcommand](manifest["config"], rng, args.threads)
         # payloads may be generators: encoding errors surface while writing
         entries, determinism_hash = _write_outputs(out_dir, result.outputs)
-    except (ConfigError, ValueError, IntegrationError) as exc:
+    except (ConfigError, ValueError, IntegrationError, MemoryError) as exc:
         error, result = exc, CommandResult(outputs={})
+        if isinstance(exc, MemoryError):  # a run too large for this machine
+            error = ConfigError(f"out of memory: {type(exc).__name__} {exc}".rstrip())
         entries, determinism_hash = _write_outputs(out_dir, result.outputs)
 
     manifest.update(

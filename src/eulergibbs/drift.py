@@ -28,7 +28,7 @@ derivative symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -153,21 +153,23 @@ def _triad_table(cutoff: Mode) -> _TriadTable:
     return table
 
 
-def _triad_batch(coeffs: np.ndarray, period: float, cutoff: Mode) -> np.ndarray:
-    table = _triad_table(cutoff)
-    prefactor = TWO_PI**2 / float(period) ** 3
-    chunk = max(1, _TRIAD_TERMS_BYTES // (16 * table.u_idx.size))
-    out = np.empty_like(coeffs)
-    for lo in range(0, coeffs.shape[0], chunk):
-        block = coeffs[lo : lo + chunk].T
-        signed = np.concatenate([block, np.conj(block)])
-        terms = np.take(signed, table.u_idx, axis=0)
-        terms *= np.take(signed, table.v_idx, axis=0)
-        # a real matrix times the float64 view of complex columns reduces the
-        # real and imaginary parts alike, with no complex copy of the matrix
-        sums = (table.matrix @ terms.view(np.float64)).view(np.complex128)
-        out[lo : lo + chunk] = prefactor * sums.T
-    return out
+def _triad_chunk(
+    coeffs: np.ndarray, table: _TriadTable, prefactor: float, work: np.ndarray
+) -> np.ndarray:
+    """One chunk of the triad drift: the pair products of the signed-mode
+    vectors, reduced per mode by the table's fixed-order sparse matrix. The
+    operands are taken into work, which every chunk of a call reuses, so their
+    pages are not handed back and faulted in again on every chunk."""
+    block = coeffs.T
+    signed = np.concatenate([block, np.conj(block)])
+    terms, other = work[:, : table.u_idx.size * block.shape[1]].reshape(2, table.u_idx.size, -1)
+    # a mode other than "raise" takes straight into out; the indices are in range
+    np.take(signed, table.u_idx, axis=0, out=terms, mode="clip")
+    terms *= np.take(signed, table.v_idx, axis=0, out=other, mode="clip")
+    # a real matrix times the float64 view of complex columns reduces the
+    # real and imaginary parts alike, with no complex copy of the matrix
+    sums = (table.matrix @ terms.view(np.float64)).view(np.complex128)
+    return prefactor * sums.T
 
 
 def _check_grid(grid: int | None, cutoff: Mode) -> int:
@@ -189,23 +191,19 @@ def _check_grid(grid: int | None, cutoff: Mode) -> int:
 class _PseudoPlan:
     """Read-only collocation plan for one (period, cutoff, grid).
 
-    The spectra keep only the last-axis columns 0..n2 the box can reach.
-    Modes direct (k2 >= 0) are placed as they are at the flat positions
-    put_direct of a (grid, n2 + 1) spectrum, and modes conj (k2 <= 0) are
-    placed conjugated at put_conj. The drift is read back from the full rfft2
-    half-spectrum at take_direct for the direct modes and, conjugated, at
-    take_conj for the modes neg (k2 < 0). The four derivative symbols are
+    The spectra keep only the last-axis columns 0..n2 the box can reach. The
+    entries select (k2 >= 0) of the signed-mode vector [c, conj(c)] go to the
+    flat positions put of a (grid, n2 + 1) spectrum. Box mode k is read back
+    from the full rfft2 half-spectrum at take[k], its own entry, or that of -k
+    (conjugated) for the modes neg (k2 < 0). The four derivative symbols are
     pruned to the same columns.
     """
 
     width: int
-    direct: np.ndarray
-    put_direct: np.ndarray
-    conj: np.ndarray
-    put_conj: np.ndarray
-    take_direct: np.ndarray
+    select: np.ndarray
+    put: np.ndarray
+    take: np.ndarray
     neg: np.ndarray
-    take_conj: np.ndarray
     symbols: tuple[np.ndarray, ...]
     lap_box: np.ndarray
     scale: float
@@ -216,58 +214,35 @@ class _PseudoPlan:
 def _pseudo_plan(period: float, cutoff: Mode, m: int) -> _PseudoPlan:
     length = float(period)
     k1, k2 = mode_arrays(cutoff)
+    signed1, signed2 = np.concatenate([k1, -k1]), np.concatenate([k2, -k2])
+    select = np.nonzero(signed2 >= 0)[0]
+    neg = k2 < 0
     width = cutoff[1] + 1
     full = m // 2 + 1
-    direct = np.nonzero(k2 >= 0)[0]
-    conj = np.nonzero(k2 <= 0)[0]
-    neg = np.nonzero(k2 < 0)[0]
 
     m1 = (np.fft.fftfreq(m) * m)[:, None]
     m2 = (np.fft.rfftfreq(m) * m)[None, :]
     d1 = 1j * (TWO_PI / length) * m1
     d2 = 1j * (TWO_PI / length) * m2
     lap = -((TWO_PI / length) ** 2) * (m1 * m1 + m2 * m2)
-    # mode k sits at (k1 mod m, k2), its conjugate partner at (-k1 mod m, -k2)
     plan = _PseudoPlan(
         width=width,
-        direct=direct,
-        put_direct=(k1[direct] % m) * width + k2[direct],
-        conj=conj,
-        put_conj=((-k1[conj]) % m) * width - k2[conj],
-        take_direct=(k1[direct] % m) * full + k2[direct],
-        neg=neg,
-        take_conj=((-k1[neg]) % m) * full - k2[neg],
+        select=select,
+        put=(signed1[select] % m) * width + signed2[select],
+        # the half-spectrum entry of k, or of -k when k2 < 0, is (k1 mod m, k2)
+        take=(np.where(neg, -k1, k1) % m) * full + np.abs(k2),
+        neg=np.nonzero(neg)[0],
         symbols=tuple(
             np.ascontiguousarray(np.broadcast_to(sym, (m, full))[:, :width])
             for sym in (-d2, d1, lap * d1, lap * d2)
         ),
-        lap_box=-((TWO_PI / length) ** 2) * (k1 * k1 + k2 * k2).astype(np.float64),
+        lap_box=-_sobolev_weights(length, cutoff, 1.0),
         scale=m * m / length,  # inverse-transform normalization for the (1/L) basis
         norm=length / (m * m),
     )
-    for arr in (
-        plan.direct,
-        plan.put_direct,
-        plan.conj,
-        plan.put_conj,
-        plan.take_direct,
-        plan.neg,
-        plan.take_conj,
-        *plan.symbols,
-        plan.lap_box,
-    ):
+    for arr in (plan.select, plan.put, plan.take, plan.neg, *plan.symbols, plan.lap_box):
         arr.flags.writeable = False
     return plan
-
-
-def _pseudo_batch(coeffs: np.ndarray, period: float, cutoff: Mode, grid: int | None) -> np.ndarray:
-    m = _check_grid(grid, cutoff)
-    plan = _pseudo_plan(float(period), cutoff, m)
-    chunk = max(1, _PSEUDO_FIELD_BYTES // (8 * m * m))
-    out = np.empty_like(coeffs)
-    for lo in range(0, coeffs.shape[0], chunk):
-        out[lo : lo + chunk] = _pseudo_chunk(coeffs[lo : lo + chunk], plan, m)
-    return out
 
 
 def _grid_field(spec: np.ndarray, sym: np.ndarray, scale: float, shape: tuple[int, int]) -> np.ndarray:
@@ -291,8 +266,7 @@ def _pseudo_chunk(coeffs: np.ndarray, plan: _PseudoPlan, m: int) -> np.ndarray:
     """
     rows = coeffs.shape[0]
     spec = np.zeros((rows, m * plan.width), dtype=np.complex128)
-    spec[:, plan.put_direct] = coeffs[:, plan.direct]
-    spec[:, plan.put_conj] = np.conj(coeffs[:, plan.conj])
+    spec[:, plan.put] = np.concatenate([coeffs, np.conj(coeffs)], axis=1)[:, plan.select]
     spec = spec.reshape(rows, m, plan.width)
 
     shape = (m, m)
@@ -310,9 +284,8 @@ def _pseudo_chunk(coeffs: np.ndarray, plan: _PseudoPlan, m: int) -> np.ndarray:
     transformed = np.fft.rfft2(u1)
     transformed *= plan.norm
     transformed = transformed.reshape(rows, -1)
-    vort_rate = np.empty_like(coeffs)
-    vort_rate[:, plan.direct] = transformed[:, plan.take_direct]
-    vort_rate[:, plan.neg] = np.conj(transformed[:, plan.take_conj])
+    vort_rate = transformed[:, plan.take]
+    vort_rate[:, plan.neg] = np.conj(vort_rate[:, plan.neg])
     vort_rate /= plan.lap_box
     return vort_rate
 
@@ -326,18 +299,29 @@ def drift_batch(
 ) -> np.ndarray:
     """Evaluate the drift for a whole coefficient matrix (rows are fields).
 
-    Rows are processed independently in chunks, so the result is bitwise
-    independent of batching and threading.
+    One loop runs the backend on row chunks sized by its byte budget; rows are
+    independent, so the result is bitwise independent of batching and threads.
     """
     cutoff = (int(cutoff[0]), int(cutoff[1]))
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.ndim != 2:
         raise ValueError(f"coeffs must be 2-D (batch, modes), got shape {coeffs.shape}")
     if method == TRIAD_SUM:
-        return _triad_batch(coeffs, period, cutoff)
-    if method == PSEUDO_SPECTRAL:
-        return _pseudo_batch(coeffs, period, cutoff, grid)
-    raise ValueError(f"unknown drift method {method!r}")
+        table = _triad_table(cutoff)
+        rows = max(1, _TRIAD_TERMS_BYTES // (16 * table.u_idx.size))
+        work = np.empty((2, table.u_idx.size * min(rows, coeffs.shape[0])), dtype=np.complex128)
+        prefactor = TWO_PI**2 / float(period) ** 3
+        chunk = partial(_triad_chunk, table=table, prefactor=prefactor, work=work)
+    elif method == PSEUDO_SPECTRAL:
+        m = _check_grid(grid, cutoff)
+        rows = max(1, _PSEUDO_FIELD_BYTES // (8 * m * m))
+        chunk = partial(_pseudo_chunk, plan=_pseudo_plan(float(period), cutoff, m), m=m)
+    else:
+        raise ValueError(f"unknown drift method {method!r}")
+    out = np.empty_like(coeffs)
+    for lo in range(0, coeffs.shape[0], rows):
+        out[lo : lo + rows] = chunk(coeffs[lo : lo + rows])
+    return out
 
 
 def drift(f: SpectralField, method: str = TRIAD_SUM, grid: int | None = None) -> SpectralField:

@@ -111,10 +111,6 @@ class Trajectory:
     enstrophy_drift: float
 
     @property
-    def initial(self) -> SpectralField:
-        return self.samples[0][1]
-
-    @property
     def final(self) -> SpectralField:
         return self.samples[-1][1]
 

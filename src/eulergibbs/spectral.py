@@ -270,22 +270,6 @@ def enstrophy(f: SpectralField) -> float:
     return _weighted_power(f, 2.0)
 
 
-def evaluate(f: SpectralField, x) -> float | np.ndarray:
-    """Evaluate the real field at a point (2,) or at an array of points (P, 2)."""
-    points = np.asarray(x, dtype=np.float64)
-    single = points.ndim == 1
-    points = np.atleast_2d(points)
-    if points.shape[-1] != 2:
-        raise ValueError(f"points must have two coordinates, got shape {points.shape}")
-    k1, k2 = mode_arrays(f.cutoff)
-    angle = (TWO_PI / f.period) * (
-        np.outer(points[:, 0], k1) + np.outer(points[:, 1], k2)
-    )
-    phases = np.exp(1j * angle)
-    values = (2.0 / f.period) * np.einsum("pm,m->p", phases, f.coeffs, optimize=False).real
-    return float(values[0]) if single else values
-
-
 @dataclass(frozen=True)
 class _GridEvaluator:
     """|D|^order of a field on a fixed tensor grid x1 x x2, as two BLAS products.
@@ -409,11 +393,10 @@ def local_distance(
     Here x_l is the windowed norm (integral over [0, l]^2 of |D^order (f-g)|^2)^(1/2),
     computed by midpoint quadrature with points_per_unit cells per unit length.
     Each term is capped below 1 so the metric is bounded by 1 regardless of
-    level_max. Both fields must share one period (windows of a fixed physical
-    size only compare meaningfully on a common torus); fields on different
-    periods go through cross_period_distance instead or, when one period is
-    an integer multiple of the other, are first embedded exactly onto the
-    larger torus (as cauchy_scan does).
+    level_max. Both fields must live on one lattice, the same period and
+    cutoff; fields on different lattices go through cross_period_distance
+    or, when one period is an integer multiple of the other, are first
+    embedded exactly into a common box (as cauchy_scan does).
 
     The profile of f - g is one evaluation with the cached plan of
     (period, cutoff, order, level_max, points_per_unit): fixed-shape BLAS
@@ -421,14 +404,11 @@ def local_distance(
     whether it is computed alone, inside a block, or on any thread.
     """
     level_max, points_per_unit = _check_metric_args(order, level_max, points_per_unit)
-    if f.period != g.period:
+    if not f.same_lattice(g):
         raise ValueError(
-            f"mismatched periods {f.period} vs {g.period}; use cross_period_distance"
+            f"mismatched lattices ({f.period}, {f.cutoff}) vs ({g.period}, {g.cutoff}); "
+            "use cross_period_distance"
         )
-    if f.cutoff != g.cutoff:
-        common = (max(f.cutoff[0], g.cutoff[0]), max(f.cutoff[1], g.cutoff[1]))
-        f = _embed(f, common)
-        g = _embed(g, common)
     plan = _metric_plan(f.period, f.cutoff, float(order), level_max, points_per_unit)
     profile = plan(f.coeffs - g.coeffs)
     return _fold(_window_norms(profile, level_max, points_per_unit))

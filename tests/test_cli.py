@@ -267,11 +267,11 @@ class TestJsonOutput:
     def test_bytes_match_the_jsonable_walk(self):
         for row in self.ROWS:
             walked = json.dumps(_jsonable(row), sort_keys=True)
-            assert _jsonl_bytes([row]) == (walked + "\n").encode()
+            assert _jsonl_bytes(row) == (walked + "\n").encode()
             indented = json.dumps(_jsonable(row), indent=2, sort_keys=True)
             assert _json_bytes(row) == (indented + "\n").encode()
-        assert b"null" in _jsonl_bytes(self.ROWS[:1])
-        assert _jsonl_bytes(self.ROWS[3:4]) == b'{"10": "ten", "9": "nine"}\n'
+        assert b"null" in _jsonl_bytes(self.ROWS[0])
+        assert _jsonl_bytes(self.ROWS[3]) == b'{"10": "ten", "9": "nine"}\n'
 
 
 class TestStreamingWriter:
@@ -333,6 +333,31 @@ class TestStreamingWriter:
         assert manifest["passed"] is False
         assert manifest["outputs"] == []
         assert manifest["determinism_hash"] == hashlib.sha256().hexdigest()
+
+
+    @pytest.mark.parametrize("streamed", [False, True], ids=["command", "stream"])
+    def test_running_out_of_memory_is_a_config_error(self, tmp_path, monkeypatch, capsys, streamed):
+        # a cutoff whose arrays do not fit raises MemoryError inside the library
+        def records():
+            yield b'{"index": 0}\n'
+            raise MemoryError()
+
+        def command(config, rng, threads):
+            if not streamed:
+                raise MemoryError()
+            return CommandResult(outputs={"b.jsonl": records()})
+
+        monkeypatch.setitem(cli.COMMANDS, "sample", command)
+        out = tmp_path / "out"
+        assert main(["sample", "--seed", "1", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "out of memory" in err
+        assert [path.name for path in out.iterdir()] == ["manifest.json"]
+        manifest = read_json(out / "manifest.json")
+        assert manifest["error"] == "out of memory: MemoryError"
+        assert manifest["passed"] is False
+        assert manifest["outputs"] == []
 
 
 class TestSampleCommand:
@@ -481,6 +506,55 @@ class TestEvolveCommand:
             assert record["energy"] == pytest.approx(records[0]["energy"], rel=1e-12)
             final = SpectralField.from_record(record["field"])
             assert np.allclose(final.coeffs, f.coeffs, atol=1e-12)
+
+    @staticmethod
+    def _field_file(tmp_path: Path) -> Path:
+        field_file = tmp_path / "initial.json"
+        f = SpectralField.from_modes(5.0, (3, 3), {(1, 1): 0.3 + 0.1j, (2, -1): 0.2})
+        field_file.write_text(json.dumps(f.to_record()))
+        return field_file
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            ["cutoff=8,8", "period=3"],
+            ["cutoff=8,8"],
+            ["period=3"],
+            ["cutoff=4,4"],
+            ["period=6.283185307179586"],
+        ],
+        ids=["both", "cutoff", "period", "cutoff-at-default", "period-at-default"],
+    )
+    def test_explicit_lattice_must_match_the_field_file(self, tmp_path, capsys, settings):
+        # a lattice set explicitly, even to its default value, that the file
+        # does not have would be recorded in the manifest but not used
+        field_file = self._field_file(tmp_path)
+        out = tmp_path / "out"
+        overrides = [item for setting in settings for item in ("--set", setting)]
+        argv = ["evolve", "--seed", "1", "--out", str(out), "--set", f"initial={field_file}"]
+        assert main([*argv, *overrides, "--set", "t_final=0.01"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "disagrees" in err
+        assert "Traceback" not in err
+        assert [path.name for path in out.iterdir()] == ["manifest.json"]
+        manifest = read_json(out / "manifest.json")
+        assert "disagrees" in manifest["error"]
+        assert manifest["passed"] is False
+
+    def test_manifest_records_the_field_file_lattice(self, tmp_path):
+        field_file = self._field_file(tmp_path)
+        config = tmp_path / "evolve.cfg"
+        config.write_text(f"initial = {field_file}\ncutoff = 3,3\n")
+        for argv in (["--config", str(config)], ["--set", f"initial={field_file}"]):
+            out = tmp_path / "out"
+            argv = ["evolve", "--seed", "1", "--out", str(out), *argv, "--set", "t_final=0.01"]
+            assert main(argv) == EXIT_PASS
+            manifest = read_json(out / "manifest.json")
+            assert manifest["config"]["cutoff"] == [3, 3]
+            assert manifest["config"]["period"] == 5.0
+            first = json.loads((out / "trajectory.jsonl").read_text().splitlines()[0])
+            assert first["field"]["cutoff"] == [3, 3]
+            assert first["field"]["period"] == 5.0
 
     def test_round_trip_verdict(self, tmp_path):
         out = tmp_path / "out"

@@ -14,6 +14,7 @@ from eulergibbs.drift import (
     _TRIAD_TERMS_BYTES,
     PSEUDO_SPECTRAL,
     TRIAD_SUM,
+    _pseudo_plan,
     _triad_table,
     alpha,
     drift,
@@ -377,6 +378,35 @@ class TestPrunedCollocation:
         for threads in (2, 3):
             other = evolve_coeffs(coeffs, TWO_PI, cutoff, cfg, threads=threads)
             assert other.coeffs.tobytes() == one.coeffs.tobytes()
+
+
+class TestPseudoPlan:
+    @pytest.mark.parametrize(
+        "cutoff, grid", [((4, 7), 31), ((5, 3), 21), ((6, 6), 24), ((1, 1), 4), ((3, 1), 13)]
+    )
+    def test_modes_are_placed_and_read_back_at_their_own_entries(self, rng, cutoff, grid):
+        plan = _pseudo_plan(2.5, cutoff, grid)
+        k1, k2 = mode_arrays(cutoff)
+        n = k1.size
+        coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        pruned = np.zeros(grid * plan.width, dtype=np.complex128)
+        pruned[plan.put] = np.concatenate([coeffs, np.conj(coeffs)])[plan.select]
+        spectrum = np.zeros((grid, grid // 2 + 1), dtype=np.complex128)
+        spectrum[:, : plan.width] = pruned.reshape(grid, plan.width)
+        # k sits at (k1 mod grid, k2) when k2 >= 0, and conj at (-k1 mod grid, -k2)
+        # when k2 <= 0: a k2 = 0 mode gets both Hermitian partners, no mode more
+        for c, a, b in zip(coeffs, k1, k2):
+            if b >= 0:
+                assert spectrum[a % grid, b] == c
+            if b <= 0:
+                assert spectrum[-a % grid, -b] == np.conj(c)
+        assert np.count_nonzero(spectrum) == n + np.count_nonzero(k2 == 0)
+        # each mode reads back its own entry, conjugated where k2 < 0
+        assert np.unique(plan.take).size == n
+        assert np.array_equal(plan.neg, np.nonzero(k2 < 0)[0])
+        read = spectrum.reshape(-1)[plan.take]
+        read[plan.neg] = np.conj(read[plan.neg])
+        assert np.array_equal(read, coeffs)
 
 
 class TestDriftMemory:

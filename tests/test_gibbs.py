@@ -26,11 +26,12 @@ from eulergibbs.gibbs import (
 )
 from eulergibbs.spectral import (
     SpectralField,
-    evaluate,
     local_distance,
     mode_arrays,
     mode_box,
 )
+
+from conftest import evaluate
 
 TWO_PI = 2.0 * math.pi
 

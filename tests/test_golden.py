@@ -4,11 +4,13 @@ payload bytes recorded in golden_hashes.json.
 A refactor that claims bitwise-identical output leaves every hash here
 unchanged, and a numeric move of even one ulp shows up as a fixture diff.
 The pooled cases run at one and two threads against the same recorded hash.
-When a change moves numbers on purpose, rewrite the fixture with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and list the cases whose hashes moved in CHANGES.md.
+records the cases missing from the fixture and never overwrites one: if a
+recorded hash differs, it exits 1 and names the case. When a change moves
+numbers on purpose, delete the entries of the cases that moved, run the
+script to record them again, and list those cases in CHANGES.md.
 """
 
 import json
@@ -73,6 +75,19 @@ CASES = {
         ],
         (1, 2),
     ),
+    # a non-square box on an odd collocation grid
+    "invariance-5x3-pseudo-grid21": (
+        [
+            "invariance",
+            "--set", "cutoff=5,3",
+            "--set", "drift_method=pseudo_spectral",
+            "--set", "grid=21",
+            "--set", "ensemble=100",
+            "--set", "dt=0.01",
+            "--set", "t_final=0.02",
+        ],
+        (1, 2),
+    ),
     "moments": (["moments", "--set", "cutoffs=4,6", "--set", "ensemble=20"], (1, 2)),
     "moments-triad": (
         [
@@ -111,9 +126,16 @@ def test_fixture_covers_every_case():
 
 
 if __name__ == "__main__":
-    hashes = {}
+    recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    hashes, moved = dict(recorded), []
     for name, (argv, _) in CASES.items():
         with tempfile.TemporaryDirectory() as out:
-            hashes[name] = determinism_hash(argv, 1, Path(out))
+            value = determinism_hash(argv, 1, Path(out))
+        if name not in recorded:
+            hashes[name] = value
+        elif recorded[name] != value:
+            moved.append(name)
+    if moved:
+        sys.exit(f"recorded hashes differ, fixture left as it is: {', '.join(moved)}")
     GOLDEN.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n")
     sys.stdout.write(GOLDEN.read_text())

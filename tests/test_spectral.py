@@ -17,7 +17,6 @@ from eulergibbs.spectral import (
     cross_period_distance,
     energy,
     enstrophy,
-    evaluate,
     evaluate_grid,
     is_positive,
     local_distance,
@@ -27,7 +26,7 @@ from eulergibbs.spectral import (
     sobolev_norm,
 )
 
-from conftest import random_field
+from conftest import evaluate, random_field
 
 TWO_PI = 2.0 * math.pi
 
@@ -246,11 +245,18 @@ class TestLocalDistance:
         with pytest.raises(ValueError):
             local_distance(f, g, -1.5, 4)
 
-    def test_mixed_cutoffs_embed(self, rng):
+    def test_mixed_cutoffs_rejected(self, rng):
+        # one lattice only: mixed cutoffs raise like mixed periods, and the
+        # pair goes through cross_period_distance or an explicit embedding
         f = random_field(rng, TWO_PI, (3, 3))
         g = random_field(rng, TWO_PI, (2, 2))
-        d = local_distance(f, g, -1.5, 4)
+        for other in (g, random_field(rng, 2 * TWO_PI, (3, 3))):
+            with pytest.raises(ValueError, match="mismatched lattices.*cross_period_distance"):
+                local_distance(f, other, -1.5, 4)
+        d = cross_period_distance(f, g, -1.5, 4)
         assert 0.0 < d < 1.0
+        embedded = local_distance(f, _embed(g, f.cutoff), -1.5, 4)
+        assert d == pytest.approx(embedded, rel=1e-9, abs=1e-12)
 
     def test_cross_period_agrees_on_equal_periods(self, rng):
         f = random_field(rng, TWO_PI, (3, 3))
