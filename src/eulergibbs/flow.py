@@ -14,9 +14,13 @@ energy and enstrophy drift between the endpoints.
 All stepping goes through one loop: _march advances a block of rows over
 the planned steps with _advance, the only place the scheme is dispatched,
 and drops a row from the block once it stalls or overflows. evolve_coeffs
-runs that loop on contiguous row blocks through map_row_blocks and NaN-fills
-the failed rows; evolve runs it on one row, records snapshots and raises at
-the first failed step; step is evolve over one signed dt.
+splits the rows among threads through map_row_blocks; each thread marches its
+rows through every step in blocks of at most _MARCH_BLOCK_BYTES of
+coefficients, writes each block's final rows into one preallocated result and
+NaN-fills the failed rows, so its memory is the input, the output and a few
+blocks, whatever the ensemble size. evolve runs the loop on one row, records
+snapshots and raises at the first failed step; step is evolve over one signed
+dt.
 """
 
 from __future__ import annotations
@@ -42,6 +46,11 @@ TRAJECTORY_SCHEMA = "trajectory.v1"
 T = TypeVar("T")
 
 _MAX_STEPS = 2.0**53
+
+# byte budget for the coefficient rows that evolve_coeffs marches through all
+# steps at once; a step's temporaries are a few times this, whatever the
+# ensemble size (the drift's own chunk budgets bound the rest)
+_MARCH_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -296,25 +305,34 @@ def evolve_coeffs(
 ) -> EnsembleEvolution:
     """Evolve every row of a coefficient matrix over cfg.t_final.
 
-    threads > 1 evolves contiguous row blocks concurrently; rows never
-    interact, so the result is bitwise identical for any thread count. Failed
-    rows (solver stall, overflow) are NaN-filled and reported, not raised.
+    threads > 1 evolves contiguous row blocks concurrently. Each thread marches
+    its rows through every step in blocks of at most _MARCH_BLOCK_BYTES of
+    coefficients and writes each block's final rows into one preallocated
+    result, so the stepping temporaries are bounded by the block, not by the
+    ensemble. The input is only read, and the result never shares its memory.
+    Rows never interact, so the result is bitwise identical for any thread
+    count and block size. Failed rows (solver stall, overflow) are NaN-filled
+    and reported, not raised.
     """
     cutoff = (int(cutoff[0]), int(cutoff[1]))
-    coeffs = np.array(coeffs, dtype=np.complex128)
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.ndim != 2:
         raise ValueError(f"coeffs must be 2-D (members, modes), got {coeffs.shape}")
     steps = _plan_steps(cfg.dt, cfg.t_final)
+    final = np.empty(coeffs.shape, dtype=np.complex128)
+    block = max(1, _MARCH_BLOCK_BYTES // (final.itemsize * max(1, coeffs.shape[1])))
 
-    def run(lo: int, hi: int) -> tuple[np.ndarray, list[int]]:
-        current, failed = coeffs[lo:hi], []
-        for _, current, stalled, overflowed in _march(coeffs[lo:hi], steps, period, cutoff, cfg):
-            failed.extend(lo + int(i) for i in (*stalled, *overflowed))
-        return current, failed
+    def run(lo: int, hi: int) -> list[int]:
+        failed: list[int] = []
+        for start in range(lo, hi, block):
+            rows = current = coeffs[start : min(start + block, hi)]
+            for _, current, stalled, overflowed in _march(rows, steps, period, cutoff, cfg):
+                failed.extend(start + int(i) for i in (*stalled, *overflowed))
+            final[start : start + rows.shape[0]] = current
+        return failed
 
     blocks = map_row_blocks(run, coeffs.shape[0], threads)
-    final = np.concatenate([rows for rows, _ in blocks])
-    failed = tuple(sorted(i for _, block in blocks for i in block))
+    failed = tuple(sorted(itertools.chain.from_iterable(blocks)))
     final[np.asarray(failed, dtype=np.intp)] = np.nan
     return EnsembleEvolution(coeffs=final, steps=len(steps), failed_members=failed)
 

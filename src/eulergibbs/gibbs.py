@@ -58,6 +58,8 @@ _SHIFT32 = np.uint64(32)
 _U64 = 0xFFFFFFFFFFFFFFFF
 _COUNTER_SPAN = 1 << 64
 _COUNTER_MOD = 1 << 256
+# raw words turned into uniforms per slice (64 KiB of shifted words)
+_UNIFORM_SLICE = 1 << 13
 
 
 def _to_uniform(word: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -121,7 +123,11 @@ def standard_complex_normals(
         words[:, column] = generator.random_raw(4 * count).reshape(count, 4)[:, :2]
         position = target + count
     normals = out.view(np.float64)
-    _to_uniform(normals.view(np.uint64), out=normals)
+    flat = normals.reshape(-1)
+    # in slices, so the shifted words are never a temporary as large as the draw
+    for lo in range(0, flat.size, _UNIFORM_SLICE):
+        chunk = flat[lo : lo + _UNIFORM_SLICE]
+        _to_uniform(chunk.view(np.uint64), out=chunk)
     ndtri(normals, out=normals)
     # the bits of (real + 1j * imag) / sqrt(2): numpy divides a complex by
     # multiplying with the reciprocal of the divisor

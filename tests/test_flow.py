@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from eulergibbs import flow
 from eulergibbs.drift import drift_batch
 from eulergibbs.flow import (
     EnsembleEvolution,
@@ -20,6 +22,7 @@ from eulergibbs.flow import (
     map_row_blocks,
     step,
 )
+from eulergibbs.gibbs import GibbsParams, RngStream, sample_coeff_matrix
 from eulergibbs.spectral import SpectralField, enstrophy, energy, sobolev_norm
 
 from conftest import random_field
@@ -247,6 +250,26 @@ class TestEnsembleEvolution:
             if i not in out.failed_members:
                 assert np.isfinite(out.coeffs[i]).all()
 
+    # the rows fail on the pool's threads, where np.errstate does not reach
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("t_final, wild", [(0.0, False), (0.2, False), (10.0, True)])
+    def test_input_is_read_only_and_not_shared(self, rng, t_final, wild):
+        coeffs = np.stack([decaying_field(rng, TWO_PI, (3, 3)).coeffs for _ in range(4)])
+        if wild:
+            coeffs[1] = random_field(rng, TWO_PI, (3, 3), scale=30.0).coeffs
+        before = coeffs.copy()
+        cfg = IntegratorConfig(
+            scheme="implicit_midpoint", dt=5.0 if wild else 1e-2, t_final=t_final,
+            max_fixed_point_iters=3 if wild else 100,
+        )
+        for threads in (1, 2):
+            out = evolve_coeffs(coeffs, TWO_PI, (3, 3), cfg, threads=threads)
+            assert np.array_equal(coeffs, before)
+            assert not np.shares_memory(out.coeffs, coeffs)
+            assert (1 in out.failed_members) == wild
+            if t_final == 0.0:
+                assert np.array_equal(out.coeffs, before)
+
     def test_pseudo_spectral_backend_agrees(self, rng):
         coeffs = np.stack([decaying_field(rng, TWO_PI, (4, 4)).coeffs for _ in range(3)])
         triad = IntegratorConfig(scheme="rk4", dt=1e-2, t_final=0.2, drift_method="triad_sum")
@@ -326,3 +349,46 @@ class TestRowBlocks:
             assert get() == 2
         finally:
             put(saved)
+
+
+class TestMarchBlocks:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scheme", ["rk4", "implicit_midpoint"])
+    @pytest.mark.parametrize("method", ["triad_sum", "pseudo_spectral"])
+    def test_block_size_and_threads_are_bitwise_irrelevant(self, rng, monkeypatch, scheme, method):
+        coeffs = np.stack([decaying_field(rng, TWO_PI, (3, 3)).coeffs for _ in range(9)])
+        # every third row is wild enough to fail
+        coeffs[1::3] = random_field(rng, TWO_PI, (3, 3), scale=30.0).coeffs
+        cfg = IntegratorConfig(scheme=scheme, dt=0.05, t_final=1.0, drift_method=method)
+        row = coeffs[0].nbytes
+        # one block of the whole ensemble is the unblocked march
+        monkeypatch.setattr(flow, "_MARCH_BLOCK_BYTES", coeffs.nbytes + row)
+        whole = evolve_coeffs(coeffs, TWO_PI, (3, 3), cfg)
+        assert whole.failed_members == (1, 4, 7)
+        for budget in (1, 2 * row, coeffs.nbytes + row):
+            monkeypatch.setattr(flow, "_MARCH_BLOCK_BYTES", budget)
+            for threads in (1, 2, 3):
+                out = evolve_coeffs(coeffs, TWO_PI, (3, 3), cfg, threads=threads)
+                assert out.failed_members == whole.failed_members
+                assert np.array_equal(out.coeffs, whole.coeffs, equal_nan=True)
+
+    @pytest.mark.parametrize("scheme", ["rk4", "implicit_midpoint"])
+    def test_peak_is_bounded_by_the_block_budget(self, scheme):
+        # the input exists before tracing starts, so the traced peak is the
+        # output plus the working set, which must not grow with the ensemble
+        p = GibbsParams(1.0, TWO_PI, (4, 4))
+        cfg = IntegratorConfig(
+            scheme=scheme, dt=1e-2, t_final=1e-2, drift_method="pseudo_spectral"
+        )
+        for members in (1500, 6000):
+            coeffs = sample_coeff_matrix(p, RngStream(7), members)
+            evolve_coeffs(coeffs[:1], p.period, p.cutoff, cfg)
+            assert coeffs.nbytes > 3 * flow._MARCH_BLOCK_BYTES
+            tracemalloc.start()
+            try:
+                out = evolve_coeffs(coeffs, p.period, p.cutoff, cfg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert out.failed_members == ()
+            assert peak <= out.coeffs.nbytes + 12 * flow._MARCH_BLOCK_BYTES

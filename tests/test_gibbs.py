@@ -186,6 +186,20 @@ class TestSamplerMemory:
             tracemalloc.stop()
         assert peak <= 5 * out.nbytes
 
+    def test_uniforms_need_no_second_draw_sized_array(self):
+        # the raw words become uniforms in place, slice by slice: beyond the
+        # output, only one mode's raw blocks and one slice are alive
+        k1, k2 = mode_arrays((12, 12))
+        stream = RngStream(8, 1)
+        standard_complex_normals(stream, 0, 1, k1, k2)
+        tracemalloc.start()
+        try:
+            out = standard_complex_normals(stream, 0, 2000, k1, k2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + (1 << 18)
+
 
 class TestVarianceOracle:
     def test_examples(self):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,6 +282,27 @@ class TestLocalDistance:
             local_distance(f, f, 0.0, 0)
         with pytest.raises(ValueError):
             local_distance(f, f, 0.0, 4, points_per_unit=0)
+
+
+class TestMetricMemory:
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_peak_is_bounded_by_the_quadrature_grid(self, n, rng):
+        # the fine level of cauchy's dyadic pair n: period 2^(n+1), cutoff
+        # 2^(n+1) per axis, at the default level_max and points_per_unit;
+        # n = 4 is the largest default level. The plan cache is warmed first,
+        # so the peak is one call's working set
+        level_max, points_per_unit = 4, 64
+        period, cutoff = 2.0 ** (n + 1), (2 ** (n + 1), 2 ** (n + 1))
+        f, g = random_field(rng, period, cutoff), random_field(rng, period, cutoff)
+        local_distance(f, g, -1.5, level_max, points_per_unit)
+        profile_bytes = 8 * (level_max * points_per_unit) ** 2
+        tracemalloc.start()
+        try:
+            local_distance(f, g, -1.5, level_max, points_per_unit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * profile_bytes
 
 
 def _embed_reference(f: SpectralField, cutoff, ratio: int) -> SpectralField:
