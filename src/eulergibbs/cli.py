@@ -14,11 +14,14 @@ count. The four report subcommands write the report's own dataclass fields
 and verdicts; the CLI decides no verdict itself.
 
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 config error (a bad
-key or value, --threads < 1, an unreadable initial field or one whose lattice
-disagrees with an explicit period or cutoff, an argument the library rejects,
-or a run that does not fit in memory), 3 numeric failure inside the
+key or value, --threads < 1, a --seed outside 0 .. 2^64 - 1, an unreadable
+initial field or one whose lattice disagrees with an explicit period or
+cutoff, an argument the library rejects, a run that does not fit in memory,
+or an output file that cannot be written), 3 numeric failure inside the
 integrator. Once --out is a usable directory every run writes manifest.json;
-a failed run's manifest records the error, passed false and no outputs.
+a failed run's manifest records the error, passed false and no outputs. If
+manifest.json itself cannot be written, the run removes its outputs, prints
+the error and exits 2.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import io
 import itertools
 import json
@@ -225,7 +229,7 @@ CONFIG_SCHEMAS: dict[str, dict[str, Option]] = {
     "invariance": {
         **_GIBBS_KEYS,
         **_INTEGRATOR_KEYS,
-        "t_final": Option(_number(), 0.5, "integration horizon (sign sets direction)"),
+        "t_final": replace(_INTEGRATOR_KEYS["t_final"], default=0.5),
         "ensemble": Option(_integer(100), 1000, "ensemble size"),
         "alpha": Option(_number(0.0, exclusive=True), 0.01, "per-test KS level"),
         "pass_fraction": Option(
@@ -244,9 +248,11 @@ CONFIG_SCHEMAS: dict[str, dict[str, Option]] = {
             (4, 6, 8, 10, 12),
             "strictly increasing square cutoff ladder N,N,... (at least two)",
         ),
-        "betas": Option(_list(_number()), (-2.0, -1.5, -0.9), "Sobolev orders to scan"),
+        "betas": Option(
+            _list(_number(), distinct=True), (-2.0, -1.5, -0.9), "Sobolev orders to scan"
+        ),
         "exponents": Option(
-            _list(_number(0.0, exclusive=True)), (1.0,), "norm-square powers q"
+            _list(_number(0.0, exclusive=True), distinct=True), (1.0,), "norm-square powers q"
         ),
         "ensemble": Option(_integer(2), 400, "samples per cutoff"),
         "stability_tol": Option(
@@ -276,8 +282,8 @@ CONFIG_SCHEMAS: dict[str, dict[str, Option]] = {
     "continuity": {
         **_GIBBS_KEYS,
         **_INTEGRATOR_KEYS,
-        "dt": Option(_number(0.0, exclusive=True), 1e-2, "step size"),
-        "t_final": Option(_number(), 0.5, "integration horizon (sign sets direction)"),
+        "dt": replace(_INTEGRATOR_KEYS["dt"], default=1e-2),
+        "t_final": replace(_INTEGRATOR_KEYS["t_final"], default=0.5),
         "deltas": Option(
             _list(_number(0.0), distinct=True), (0.1, 0.01, 0.001), "distinct perturbation sizes"
         ),
@@ -459,10 +465,11 @@ def _report_result(report, rows: Sequence, measurements: dict, **extra) -> Comma
     )
 
 
-def _from_config(cls, config: dict, **extra):
-    """An instance of the dataclass cls built from the config keys named like its fields."""
-    names = {f.name for f in fields(cls)}
-    return cls(**{key: value for key, value in config.items() if key in names}, **extra)
+def _from_config(target, config: dict, **explicit):
+    """Call target, a dataclass or a function, with every config key named like
+    one of its parameters; explicit keyword arguments win."""
+    names = inspect.signature(target).parameters
+    return target(**{**{key: config[key] for key in names if key in config}, **explicit})
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +478,7 @@ def _from_config(cls, config: dict, **extra):
 
 def _cmd_sample(config: dict, rng: RngStream, threads: int) -> CommandResult:
     p = _from_config(GibbsParams, config)
-    matrix = sample_coeff_matrix(p, rng, config["count"])
+    matrix = _from_config(sample_coeff_matrix, config, p=p, rng=rng)
     records = (
         {"index": index, "field": SpectralField(p.period, p.cutoff, row).to_record()}
         for index, row in enumerate(matrix)
@@ -568,16 +575,14 @@ def _cmd_evolve(config: ResolvedConfig, rng: RngStream, threads: int) -> Command
 
 def _cmd_invariance(config: dict, rng: RngStream, threads: int) -> CommandResult:
     p = _from_config(GibbsParams, config)
-    report = run_invariance(
-        p,
-        _from_config(IntegratorConfig, config),
-        default_observables(p.cutoff),
-        config["ensemble"],
-        rng,
-        alpha=config["alpha"],
-        pass_fraction=config["pass_fraction"],
-        mean_se_factor=config["mean_se_factor"],
-        failure_tol=config["failure_tol"],
+    report = _from_config(
+        run_invariance,
+        config,
+        p=p,
+        cfg=_from_config(IntegratorConfig, config),
+        observables=default_observables(p.cutoff),
+        ensemble_size=config["ensemble"],
+        rng=rng,
         threads=threads,
     )
     measurements = {
@@ -591,16 +596,14 @@ def _cmd_invariance(config: dict, rng: RngStream, threads: int) -> CommandResult
 
 def _cmd_moments(config: dict, rng: RngStream, threads: int) -> CommandResult:
     ladder = tuple((n, n) for n in config["cutoffs"])
-    report = moment_scan(
-        _from_config(GibbsParams, config, cutoff=ladder[0]),
-        config["betas"],
-        config["exponents"],
-        config["ensemble"],
-        rng,
+    report = _from_config(
+        moment_scan,
+        config,
+        p=_from_config(GibbsParams, config, cutoff=ladder[0]),
+        orders=config["betas"],
+        ensemble_size=config["ensemble"],
+        rng=rng,
         cutoffs=ladder,
-        stability_tol=config["stability_tol"],
-        drift_method=config["drift_method"],
-        expect=config["expect"],
         threads=threads,
     )
     result = _report_result(report, report.rows, {})
@@ -609,16 +612,12 @@ def _cmd_moments(config: dict, rng: RngStream, threads: int) -> CommandResult:
 
 
 def _cmd_cauchy(config: dict, rng: RngStream, threads: int) -> CommandResult:
-    report = cauchy_scan(
-        config["levels"],
-        config["order"],
-        config["ensemble"],
-        rng,
-        gamma=config["gamma"],
-        modes_per_unit=config["modes_per_unit"],
-        level_max=config["level_max"],
-        points_per_unit=config["points_per_unit"],
-        expect=config["expect"],
+    report = _from_config(
+        cauchy_scan,
+        config,
+        n_values=config["levels"],
+        ensemble_size=config["ensemble"],
+        rng=rng,
         threads=threads,
     )
     measurements = {"mean_sq_distances": [row.mean_sq_distance for row in report.rows]}
@@ -626,16 +625,13 @@ def _cmd_cauchy(config: dict, rng: RngStream, threads: int) -> CommandResult:
 
 
 def _cmd_continuity(config: dict, rng: RngStream, threads: int) -> CommandResult:
-    report = continuity_probe(
-        _from_config(GibbsParams, config),
-        _from_config(IntegratorConfig, config),
-        config["deltas"],
-        config["ensemble"],
-        rng,
-        order=config["order"],
-        level_max=config["level_max"],
-        points_per_unit=config["points_per_unit"],
-        ratio_tol=config["ratio_tol"],
+    report = _from_config(
+        continuity_probe,
+        config,
+        p=_from_config(GibbsParams, config),
+        cfg=_from_config(IntegratorConfig, config),
+        ensemble_size=config["ensemble"],
+        rng=rng,
         threads=threads,
     )
     measurements = {"median_ratios": [row.median_ratio for row in report.rows]}
@@ -779,10 +775,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         manifest["config"] = resolve_config(args.subcommand, args.config, args.set)
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
+        # the generator keys on the seed modulo 2^64, so a seed outside would alias another
+        if not 0 <= args.seed < 2**64:
+            raise ConfigError(f"--seed must be in 0 .. 2^64 - 1, got {args.seed}")
         rng = RngStream(args.seed, list(COMMANDS).index(args.subcommand))
         result = COMMANDS[args.subcommand](manifest["config"], rng, args.threads)
         # payloads may be generators: encoding errors surface while writing
-        entries, determinism_hash = _write_outputs(out_dir, result.outputs)
+        try:
+            entries, determinism_hash = _write_outputs(out_dir, result.outputs)
+        except OSError as exc:
+            raise ConfigError(f"cannot write outputs to {out_dir}: {exc}") from exc
     except (ConfigError, ValueError, IntegrationError, MemoryError) as exc:
         error, result = exc, CommandResult(outputs={})
         if isinstance(exc, MemoryError):  # a run too large for this machine
@@ -802,7 +804,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     if error is not None:
         manifest["error"] = str(error)
-    (out_dir / "manifest.json").write_bytes(_json_bytes(manifest))
+    try:
+        (out_dir / "manifest.json").write_bytes(_json_bytes(manifest))
+    except OSError as exc:
+        # outputs without their manifest cannot be checked, so none are left
+        for entry in entries:
+            (out_dir / entry["file"]).unlink(missing_ok=True)
+        print(f"config error: cannot write {out_dir / 'manifest.json'}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     if isinstance(error, IntegrationError):
         print(f"numeric failure: {error}", file=sys.stderr)

@@ -524,6 +524,10 @@ def moment_scan(
         raise ValueError("ensemble_size must be >= 2")
     orders = [float(b) for b in orders]
     exponents = [float(q) for q in exponents]
+    # a repeated pair would append twice to one series and compare a rung with itself
+    for name, values in (("orders", orders), ("exponents", exponents)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"{name} must be pairwise distinct, got {values}")
     ladder = tuple((int(c[0]), int(c[1])) for c in cutoffs)
     if len(ladder) < 2:
         raise ValueError("need at least two cutoffs to compare")

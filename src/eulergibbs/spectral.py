@@ -215,9 +215,10 @@ class SpectralField:
         schema = record.get("schema", FIELD_SCHEMA)
         if schema != FIELD_SCHEMA:
             raise ValueError(f"unsupported field schema {schema!r}")
+        expected = mode_count(cutoff)  # O(1); the box grows with the claimed cutoff
+        if count != expected:
+            raise ValueError(f"field record has {count} coefficients, expected {expected}")
         modes = mode_box(cutoff)
-        if count != len(modes):
-            raise ValueError(f"field record has {count} coefficients, expected {len(modes)}")
         coeffs = np.empty(len(modes), dtype=np.complex128)
         for i, (row, k) in enumerate(zip(rows, modes)):
             try:

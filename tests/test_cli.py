@@ -2,6 +2,7 @@
 codes, output files, manifests, and byte-level reproducibility."""
 
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -814,3 +815,102 @@ class TestReproducibility:
             for name in runs
         }
         assert len(set(hashes.values())) == 1
+
+
+# keys a subcommand reads itself or passes under another name; every other key
+# reaches the library through cli._from_config, by the parameter of its name
+CONSUMED_KEYS = {
+    "sample": set(),
+    "evolve": {"initial", "sample_index", "round_trip", "round_trip_tol"},
+    "invariance": {"ensemble"},
+    "moments": {"ensemble", "betas", "cutoffs"},
+    "cauchy": {"ensemble", "levels"},
+    "continuity": {"ensemble"},
+}
+
+
+class TestConfigPlumbing:
+    @pytest.mark.parametrize("subcommand", sorted(SMALL_CONFIGS))
+    def test_every_key_is_a_parameter_or_consumed(self, tmp_path, monkeypatch, subcommand):
+        # a schema key that nothing reads fails here
+        from_config, parameters = cli._from_config, set()
+
+        def spy(target, config, **explicit):
+            parameters.update(inspect.signature(target).parameters)
+            # a key passed by hand under its own name belongs to _from_config
+            assert not [key for key, value in explicit.items() if config.get(key) is value]
+            return from_config(target, config, **explicit)
+
+        monkeypatch.setattr(cli, "_from_config", spy)
+        argv = [subcommand, "--seed", "1", "--out", str(tmp_path), *SMALL_CONFIGS[subcommand]]
+        assert main(argv) in (EXIT_PASS, EXIT_VERDICT)
+        schema = set(cli.CONFIG_SCHEMAS[subcommand])
+        assert CONSUMED_KEYS[subcommand] <= schema
+        assert schema - parameters <= CONSUMED_KEYS[subcommand]
+
+
+class TestEdgeFailures:
+    def test_an_output_that_cannot_be_written_leaves_a_failure_manifest(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        (out / "summary.csv").mkdir(parents=True)
+        argv = ["cauchy", "--seed", "1", "--out", str(out), *SMALL_CONFIGS["cauchy"]]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
+        # report.json, written before summary.csv failed, is removed again
+        assert sorted(path.name for path in out.iterdir()) == ["manifest.json", "summary.csv"]
+        manifest = read_json(out / "manifest.json")
+        assert "summary.csv" in manifest["error"]
+        assert manifest["passed"] is False
+        assert manifest["outputs"] == []
+
+    def test_a_manifest_that_cannot_be_written_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "manifest.json").mkdir(parents=True)
+        argv = ["cauchy", "--seed", "1", "--out", str(out), *SMALL_CONFIGS["cauchy"]]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "Traceback" not in err
+        assert [path.name for path in out.iterdir()] == ["manifest.json"]
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, -(2**64) + 1])
+    def test_a_seed_outside_the_generator_range_is_a_config_error(
+        self, tmp_path, capsys, seed
+    ):
+        # the generator keys on the seed modulo 2^64, so these would alias 0 .. 2^64 - 1
+        out = tmp_path / "out"
+        argv = ["sample", "--seed", str(seed), "--out", str(out), "--set", "count=2"]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--seed" in err
+        assert "Traceback" not in err
+        assert [path.name for path in out.iterdir()] == ["manifest.json"]
+        manifest = read_json(out / "manifest.json")
+        assert manifest["seed"] == seed
+        assert manifest["passed"] is False
+        assert manifest["outputs"] == []
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_the_ends_of_the_seed_range_run(self, tmp_path, seed):
+        argv = ["sample", "--seed", str(seed), "--out", str(tmp_path), "--set", "count=2"]
+        assert main(argv) == EXIT_PASS
+
+    @pytest.mark.parametrize("item", ["betas=-0.5,-0.5", "exponents=1,2,1.0"])
+    def test_repeated_betas_or_exponents_are_a_config_error(self, tmp_path, capsys, item):
+        # a repeated value would pass its stability verdict by construction
+        key = item.split("=")[0]
+        with pytest.raises(ConfigError, match=f"'{key}'.*pairwise distinct"):
+            resolve_config("moments", None, [item])
+        out = tmp_path / "out"
+        argv = [
+            "moments", "--seed", "1", "--out", str(out),
+            "--set", "cutoffs=4,6,8", "--set", "ensemble=50", "--set", "expect=stable",
+            "--set", item,
+        ]
+        assert main(argv) == EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+        assert [path.name for path in out.iterdir()] == ["manifest.json"]

@@ -103,6 +103,23 @@ CASES = {
         ["continuity", "--set", "ensemble=8", "--set", "dt=0.05", "--set", "t_final=0.1"],
         (1, 2),
     ),
+    # every subcommand at its default config, the runs of the hash table in CHANGES.md
+    "default-sample": (["sample"], (1,)),
+    "default-evolve": (["evolve"], (1,)),
+    "default-evolve-midpoint-round-trip": (
+        [
+            "evolve",
+            "--set", "scheme=implicit_midpoint",
+            "--set", "snapshot_stride=1",
+            "--set", "round_trip=true",
+        ],
+        (1,),
+    ),
+    "default-invariance": (["invariance"], (1,)),
+    "default-moments": (["moments"], (1,)),
+    "default-moments-triad": (["moments", "--set", "drift_method=triad_sum"], (1,)),
+    "default-cauchy": (["cauchy"], (1,)),
+    "default-continuity": (["continuity"], (1,)),
 }
 
 

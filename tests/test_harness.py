@@ -455,6 +455,16 @@ class TestMomentScan:
         with pytest.raises(ValueError, match="expect"):
             moment_scan(p, [-1.5], [1.0], 8, RngStream(1), expect="bounded")
 
+    @pytest.mark.parametrize(
+        "orders, exponents, name",
+        [([-0.5, -0.5], [1.0], "orders"), ([-1.5], [1.0, 2.0, 1.0], "exponents")],
+    )
+    def test_repeated_orders_or_exponents_are_rejected(self, orders, exponents, name):
+        # both copies would feed one series, whose tail would compare a rung with itself
+        p = GibbsParams(1.0, TWO_PI, (2, 2))
+        with pytest.raises(ValueError, match=f"{name} must be pairwise distinct"):
+            moment_scan(p, orders, exponents, 8, RngStream(1), cutoffs=((2, 2), (3, 3)))
+
     def test_verdicts_follow_the_expectation(self):
         args = (GibbsParams(1.0, TWO_PI, (2, 2)), [-1.5, -0.9], [1.0], 12, RngStream(3))
         kwargs = {"cutoffs": ((2, 2), (3, 3)), "drift_method": TRIAD_SUM}

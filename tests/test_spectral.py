@@ -475,3 +475,16 @@ class TestSerialization:
         rec["coeffs"] = rec["coeffs"][:-1]
         with pytest.raises(ValueError):
             SpectralField.from_record(rec)
+
+    def test_count_is_checked_before_the_claimed_box_is_built(self):
+        # building the claimed box first would cost about 30 MB here; a claim
+        # larger still would exhaust memory before it failed
+        rec = {"period": TWO_PI, "cutoff": [400, 400], "coeffs": [[0, 1, 0.0, 0.0]]}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="1 coefficients"):
+                SpectralField.from_record(rec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
