@@ -17,7 +17,7 @@ from .drift import (
     jacobian_trace_estimate,
     quadratic_derivative,
 )
-from .flow import IntegratorConfig, Trajectory, evolve, step
+from .flow import IntegratorConfig, Trajectory, evolve
 from .gibbs import (
     GibbsParams,
     RngStream,
@@ -86,7 +86,6 @@ __all__ = [
     "run_invariance",
     "sample",
     "sobolev_norm",
-    "step",
     "variance_oracle",
     "__version__",
 ]

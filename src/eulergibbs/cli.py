@@ -551,7 +551,7 @@ def _cmd_evolve(config: ResolvedConfig, rng: RngStream, threads: int) -> Command
     measurements = {
         "energy_drift": trajectory.energy_drift,
         "enstrophy_drift": trajectory.enstrophy_drift,
-        "snapshots": len(trajectory.samples),
+        "snapshots": len(trajectory),
     }
     if config["round_trip"]:
         # only the endpoint is read, so the way back records no snapshots
@@ -564,7 +564,7 @@ def _cmd_evolve(config: ResolvedConfig, rng: RngStream, threads: int) -> Command
     return CommandResult(
         outputs={
             "trajectory.jsonl": (
-                _jsonl_bytes(snapshot_record(t, f)) for t, f in trajectory.samples
+                _jsonl_bytes(snapshot_record(t, f)) for t, f in trajectory
             )
         },
         verdicts=verdicts,
@@ -775,7 +775,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         manifest["config"] = resolve_config(args.subcommand, args.config, args.set)
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
-        # the generator keys on the seed modulo 2^64, so a seed outside would alias another
+        # RngStream rejects such a seed too; this message names the flag
         if not 0 <= args.seed < 2**64:
             raise ConfigError(f"--seed must be in 0 .. 2^64 - 1, got {args.seed}")
         rng = RngStream(args.seed, list(COMMANDS).index(args.subcommand))

@@ -13,26 +13,23 @@ energy and enstrophy drift between the endpoints.
 
 All stepping goes through one loop: _march advances a block of rows over
 the planned steps with _advance, the only place the scheme is dispatched,
-and drops a row from the block once it stalls or overflows. evolve_coeffs
-splits the rows among threads through map_row_blocks; each thread marches its
-rows through every step in blocks of at most _MARCH_BLOCK_BYTES of
-coefficients, writes each block's final rows into one preallocated result and
-NaN-fills the failed rows, so its memory is the input, the output and a few
-blocks, whatever the ensemble size. evolve runs the loop on one row, records
-snapshots and raises at the first failed step; step is evolve over one signed
-dt.
+and drops a row from the block once it stalls or overflows. Its one caller,
+evolve_coeffs, splits the rows among threads and marches each thread's rows
+in blocks of at most _MARCH_BLOCK_BYTES into one preallocated snapshot array,
+recording each failed row's step and cause. evolve is its one-row case.
 """
 
 from __future__ import annotations
 
+import bisect
 import ctypes
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -57,8 +54,9 @@ _MARCH_BLOCK_BYTES = 1 << 18
 class IntegratorConfig:
     """Scheme, step size, horizon, and solver knobs for the flow.
 
-    snapshot_stride 0 records only the two endpoints; a positive stride
-    additionally records every stride-th step. drift_method selects the
+    Every evolution records the state after its last step and, for a positive
+    snapshot_stride, after every stride-th step, in evolve_coeffs and evolve
+    alike (evolve also keeps the initial state). drift_method selects the
     backend used for every right-hand-side evaluation.
     """
 
@@ -111,21 +109,37 @@ class IntegrationError(RuntimeError):
         self.members = tuple(int(i) for i in members)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Recorded snapshots (t, field) plus endpoint conservation drift."""
+    """One evolved field: the initial field at t = 0, then snapshots[k] at times[k],
+    plus endpoint conservation drift. Iterating builds each (t, field) when it
+    is reached, as samples and final do when read."""
 
-    samples: tuple[tuple[float, SpectralField], ...]
+    initial: SpectralField
+    times: tuple[float, ...]
+    snapshots: np.ndarray
     energy_drift: float
     enstrophy_drift: float
 
+    def __len__(self) -> int:
+        return 1 + len(self.times)
+
+    def __iter__(self) -> Iterator[tuple[float, SpectralField]]:
+        yield 0.0, self.initial
+        for t, row in zip(self.times, self.snapshots):
+            yield t, self.initial.with_coeffs(row)
+
+    @property
+    def samples(self) -> tuple[tuple[float, SpectralField], ...]:
+        return tuple(self)
+
     @property
     def final(self) -> SpectralField:
-        return self.samples[-1][1]
+        return self.initial.with_coeffs(self.snapshots[-1]) if self.times else self.initial
 
     def records(self) -> list[dict]:
         """JSON-ready snapshot records, one per sample."""
-        return [snapshot_record(t, f) for t, f in self.samples]
+        return [snapshot_record(t, f) for t, f in self]
 
 
 def snapshot_record(t: float, f: SpectralField) -> dict:
@@ -139,28 +153,49 @@ def snapshot_record(t: float, f: SpectralField) -> dict:
     }
 
 
+class MemberFailure(NamedTuple):
+    """A member that failed: its row, the failed step, the time after it and why."""
+
+    member: int
+    step: int
+    t: float
+    cause: str
+
+    @property
+    def message(self) -> str:
+        return f"{self.cause} at step {self.step} (t = {self.t:.6g})"
+
+
 @dataclass
 class EnsembleEvolution:
-    """Result of evolving a coefficient matrix: final rows plus diagnostics.
+    """Result of evolving a coefficient matrix: snapshots, final rows, failures.
 
-    Failed members keep NaN coefficients and are listed in failed_members;
-    callers decide whether a nonzero failure count is fatal.
+    snapshots[k] holds every member at times[k], after every snapshot_stride-th
+    step and the last one. coeffs is the last snapshot, or a copy of the input
+    for a zero horizon. A failed member is NaN from its failed step on and has
+    one record in failures, in member order; callers decide if that is fatal.
     """
 
+    snapshots: np.ndarray
+    times: tuple[float, ...]
     coeffs: np.ndarray
-    steps: int
-    failed_members: tuple[int, ...] = dataclass_field(default=())
+    failures: tuple[MemberFailure, ...]
+
+    @property
+    def failed_members(self) -> tuple[int, ...]:
+        return tuple(failure.member for failure in self.failures)
 
 
 @dataclass(frozen=True)
 class _StepPlan:
-    """Signed step sizes covering t_final exactly: count whole steps of size
-    step, then the remainder unless it is 0.0. Iterating yields them in order;
-    the plan itself is O(1) in the horizon."""
+    """Signed step sizes covering the horizon end exactly: count whole steps
+    of size step, then the remainder unless it is 0.0. Iterating yields them
+    in order; the plan itself is O(1) in the horizon."""
 
     step: float
     count: int
     remainder: float
+    end: float
 
     def __len__(self) -> int:
         return self.count + (self.remainder != 0.0)
@@ -170,6 +205,10 @@ class _StepPlan:
         if self.remainder != 0.0:
             yield self.remainder
 
+    def time(self, index: int) -> float:
+        """The time after step index, from the index rather than a running sum."""
+        return self.end if index == len(self) - 1 else (index + 1) * self.step
+
 
 def _plan_steps(dt: float, t_final: float) -> _StepPlan:
     """The step plan of a horizon: whole dt steps plus a remainder."""
@@ -177,7 +216,8 @@ def _plan_steps(dt: float, t_final: float) -> _StepPlan:
     span = abs(t_final)
     count = int(math.floor(span / dt + 1e-9))
     remainder = span - count * dt
-    return _StepPlan(sign * dt, count, sign * remainder if remainder > 1e-9 * dt else 0.0)
+    remainder = sign * remainder if remainder > 1e-9 * dt else 0.0
+    return _StepPlan(sign * dt, count, remainder, float(t_final))
 
 
 def _rhs(coeffs: np.ndarray, period: float, cutoff: Mode, cfg: IntegratorConfig) -> np.ndarray:
@@ -248,8 +288,9 @@ def _march(
     for index, h in enumerate(steps):
         if alive.size == 0:
             return
-        stepped, stalled, overflowed = _advance(current[alive], h, period, cutoff, cfg)
-        current[alive] = stepped
+        # the stepped rows are dropped before the yield, so they are not held
+        # while the caller writes its snapshot
+        current[alive], stalled, overflowed = _advance(current[alive], h, period, cutoff, cfg)
         yield index, current, alive[stalled], alive[overflowed & ~stalled]
         alive = alive[~(stalled | overflowed)]
 
@@ -303,80 +344,74 @@ def evolve_coeffs(
     cfg: IntegratorConfig,
     threads: int = 1,
 ) -> EnsembleEvolution:
-    """Evolve every row of a coefficient matrix over cfg.t_final.
+    """Evolve every row of a coefficient matrix over cfg.t_final, with snapshots.
 
-    threads > 1 evolves contiguous row blocks concurrently. Each thread marches
-    its rows through every step in blocks of at most _MARCH_BLOCK_BYTES of
-    coefficients and writes each block's final rows into one preallocated
-    result, so the stepping temporaries are bounded by the block, not by the
-    ensemble. The input is only read, and the result never shares its memory.
-    Rows never interact, so the result is bitwise identical for any thread
-    count and block size. Failed rows (solver stall, overflow) are NaN-filled
-    and reported, not raised.
+    threads > 1 evolves contiguous row blocks concurrently. Each thread
+    marches its rows through every step in blocks of at most
+    _MARCH_BLOCK_BYTES of coefficients and writes each block's rows at every
+    snapshot step into the preallocated result, so the stepping temporaries
+    are bounded by the block, not by the ensemble. The input is only read,
+    and the result never shares its memory. Rows never interact, so the
+    result is bitwise identical for any thread count and block size. Failed
+    rows (solver stall, overflow) are recorded, not raised.
     """
     cutoff = (int(cutoff[0]), int(cutoff[1]))
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.ndim != 2:
         raise ValueError(f"coeffs must be 2-D (members, modes), got {coeffs.shape}")
     steps = _plan_steps(cfg.dt, cfg.t_final)
-    final = np.empty(coeffs.shape, dtype=np.complex128)
-    block = max(1, _MARCH_BLOCK_BYTES // (final.itemsize * max(1, coeffs.shape[1])))
+    last, stride = len(steps) - 1, cfg.snapshot_stride
+    # the steps followed by a strided snapshot; the last step is followed by the final one
+    strided = range(stride - 1, last, stride) if stride else range(0)
+    snapshots = np.empty((len(strided) + (last >= 0), *coeffs.shape), dtype=np.complex128)
+    block = max(1, _MARCH_BLOCK_BYTES // (snapshots.itemsize * max(1, coeffs.shape[1])))
+    causes = (
+        f"implicit midpoint failed to reach tol={cfg.fixed_point_tol} within "
+        f"{cfg.max_fixed_point_iters} iterations",
+        "integration overflowed",
+    )
 
-    def run(lo: int, hi: int) -> list[int]:
-        failed: list[int] = []
+    def run(lo: int, hi: int) -> list[MemberFailure]:
+        failures: list[MemberFailure] = []
         for start in range(lo, hi, block):
-            rows = current = coeffs[start : min(start + block, hi)]
-            for _, current, stalled, overflowed in _march(rows, steps, period, cutoff, cfg):
-                failed.extend(start + int(i) for i in (*stalled, *overflowed))
-            final[start : start + rows.shape[0]] = current
-        return failed
+            stop = min(start + block, hi)
+            marching = _march(coeffs[start:stop], steps, period, cutoff, cfg)
+            for index, current, stalled, overflowed in marching:
+                for cause, rows in zip(causes, (stalled, overflowed)):
+                    t = steps.time(index)
+                    failures += (MemberFailure(start + int(i), index, t, cause) for i in rows)
+                if index == last or (stride and (index + 1) % stride == 0):
+                    snapshots[-1 if index == last else index // stride, start:stop] = current
+        return failures
 
-    blocks = map_row_blocks(run, coeffs.shape[0], threads)
-    failed = tuple(sorted(itertools.chain.from_iterable(blocks)))
-    final[np.asarray(failed, dtype=np.intp)] = np.nan
-    return EnsembleEvolution(coeffs=final, steps=len(steps), failed_members=failed)
-
-
-def evolve(f: SpectralField, cfg: IntegratorConfig) -> Trajectory:
-    """Integrate a single field over cfg.t_final, recording snapshots.
-
-    Raises IntegrationError at the first step that stalls or overflows;
-    snapshots include the initial state, every snapshot_stride-th step when
-    the stride is positive, and the final state.
-    """
-    steps = _plan_steps(cfg.dt, cfg.t_final)
-    samples: list[tuple[float, SpectralField]] = [(0.0, f)]
-    marching = _march(f.coeffs[None, :], steps, f.period, f.cutoff, cfg)
-    for index, current, stalled, overflowed in marching:
-        is_last = index == len(steps) - 1
-        # every step but the last is a whole signed dt, so times come from the
-        # step index rather than a running sum, and the final one is exact
-        t = float(cfg.t_final) if is_last else (index + 1) * steps.step
-        if stalled.size:
-            raise IntegrationError(
-                f"implicit midpoint failed to reach tol={cfg.fixed_point_tol} within "
-                f"{cfg.max_fixed_point_iters} iterations at step {index} (t = {t:.6g})",
-                step=index,
-                members=[0],
-            )
-        if overflowed.size:
-            raise IntegrationError(
-                f"integration overflowed at step {index} (t = {t:.6g})",
-                step=index,
-                members=[0],
-            )
-        if is_last or (cfg.snapshot_stride and (index + 1) % cfg.snapshot_stride == 0):
-            samples.append((t, f.with_coeffs(current[0])))
-    initial_e, final_e = energy(samples[0][1]), energy(samples[-1][1])
-    initial_s, final_s = enstrophy(samples[0][1]), enstrophy(samples[-1][1])
-    return Trajectory(
-        samples=tuple(samples),
-        energy_drift=abs(final_e - initial_e) / max(abs(initial_e), 1.0),
-        enstrophy_drift=abs(final_s - initial_s) / max(abs(initial_s), 1.0),
+    failures = sorted(itertools.chain.from_iterable(map_row_blocks(run, coeffs.shape[0], threads)))
+    for failure in failures:
+        snapshots[bisect.bisect_left(strided, failure.step) :, failure.member] = np.nan
+    return EnsembleEvolution(
+        snapshots=snapshots,
+        times=tuple(steps.time(i) for i in (*strided, last)) if last >= 0 else (),
+        coeffs=snapshots[-1] if last >= 0 else coeffs.copy(),
+        failures=tuple(failures),
     )
 
 
-def step(f: SpectralField, cfg: IntegratorConfig) -> SpectralField:
-    """A single step of the configured scheme (signed by the direction of t_final)."""
-    h = math.copysign(cfg.dt, cfg.t_final) if cfg.t_final != 0.0 else cfg.dt
-    return evolve(f, replace(cfg, t_final=h, snapshot_stride=0)).final
+def evolve(f: SpectralField, cfg: IntegratorConfig) -> Trajectory:
+    """Integrate a single field over cfg.t_final: the one-row evolve_coeffs.
+
+    The trajectory starts at the initial state. Raises IntegrationError, with
+    the failed step and its cause, if the field stalls or overflows.
+    """
+    run = evolve_coeffs(f.coeffs[None, :], f.period, f.cutoff, cfg)
+    if run.failures:
+        failure = run.failures[0]
+        raise IntegrationError(failure.message, step=failure.step, members=[0])
+    final = f.with_coeffs(run.coeffs[0])
+    initial_e, final_e = energy(f), energy(final)
+    initial_s, final_s = enstrophy(f), enstrophy(final)
+    return Trajectory(
+        initial=f,
+        times=run.times,
+        snapshots=run.snapshots[:, 0],
+        energy_drift=abs(final_e - initial_e) / max(abs(initial_e), 1.0),
+        enstrophy_drift=abs(final_s - initial_s) / max(abs(initial_s), 1.0),
+    )

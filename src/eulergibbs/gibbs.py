@@ -79,8 +79,12 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "master_seed", int(self.master_seed) & _U64)
-        object.__setattr__(self, "stream_id", int(self.stream_id) & _U64)
+        # the generator keys on 64-bit words, so a value outside would alias one inside
+        for name in ("master_seed", "stream_id"):
+            value = int(getattr(self, name))
+            if not 0 <= value <= _U64:
+                raise ValueError(f"{name} must be in 0 .. 2^64 - 1, got {value}")
+            object.__setattr__(self, name, value)
 
     def substream(self, stream_id: int) -> "RngStream":
         """A sibling stream under the same master seed."""

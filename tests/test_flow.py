@@ -20,7 +20,6 @@ from eulergibbs.flow import (
     evolve,
     evolve_coeffs,
     map_row_blocks,
-    step,
 )
 from eulergibbs.gibbs import GibbsParams, RngStream, sample_coeff_matrix
 from eulergibbs.spectral import SpectralField, enstrophy, energy, sobolev_norm
@@ -29,6 +28,12 @@ from conftest import random_field
 from test_drift import decaying_field
 
 TWO_PI = 2.0 * math.pi
+
+
+def step(f: SpectralField, cfg: IntegratorConfig) -> SpectralField:
+    """A single step of the configured scheme (signed by the direction of t_final)."""
+    h = math.copysign(cfg.dt, cfg.t_final) if cfg.t_final != 0.0 else cfg.dt
+    return evolve(f, replace(cfg, t_final=h, snapshot_stride=0)).final
 
 
 class TestConfig:
@@ -281,6 +286,66 @@ class TestEnsembleEvolution:
         assert np.max(np.abs(a - b)) <= 1e-9
 
 
+class TestSnapshots:
+    @pytest.mark.parametrize("scheme", ["rk4", "implicit_midpoint"])
+    @pytest.mark.parametrize("t_final", [0.075, -0.075])
+    def test_each_snapshot_is_a_separate_evolution_to_its_time(self, rng, scheme, t_final):
+        # 7 whole steps and a remainder; the stride does not divide the 8 steps
+        coeffs = np.stack([decaying_field(rng, TWO_PI, (3, 3)).coeffs for _ in range(4)])
+        cfg = IntegratorConfig(scheme=scheme, dt=0.01, t_final=t_final, snapshot_stride=3)
+        out = evolve_coeffs(coeffs, TWO_PI, (3, 3), cfg)
+        h = math.copysign(0.01, t_final)
+        assert out.times == (3 * h, 6 * h, t_final)
+        assert out.snapshots.shape == (3, *coeffs.shape)
+        assert np.array_equal(out.coeffs, out.snapshots[-1])
+        for t, rows in zip(out.times, out.snapshots):
+            alone = evolve_coeffs(coeffs, TWO_PI, (3, 3), replace(cfg, t_final=t, snapshot_stride=0))
+            assert alone.times == (t,)
+            assert np.array_equal(rows, alone.coeffs)
+
+    def test_a_zero_horizon_takes_no_snapshot(self, rng):
+        coeffs = np.stack([decaying_field(rng, TWO_PI, (3, 3)).coeffs for _ in range(2)])
+        cfg = IntegratorConfig(dt=0.01, t_final=0.0, snapshot_stride=1)
+        out = evolve_coeffs(coeffs, TWO_PI, (3, 3), cfg)
+        assert out.times == () and out.snapshots.shape == (0, *coeffs.shape)
+        assert np.array_equal(out.coeffs, coeffs)
+
+    @pytest.mark.parametrize(
+        "scheme,scale,cfg_extra,cause",
+        [
+            ("rk4", 5.0, {"dt": 0.1}, "integration overflowed"),
+            (
+                "implicit_midpoint",
+                3.0,
+                {"dt": 0.05, "max_fixed_point_iters": 40},
+                "implicit midpoint failed to reach tol=1e-12 within 40 iterations",
+            ),
+        ],
+    )
+    def test_a_failed_member_is_nan_from_its_failed_step_on(
+        self, rng, scheme, scale, cfg_extra, cause
+    ):
+        wild = random_field(rng, TWO_PI, (3, 3), scale=scale)
+        coeffs = np.stack([decaying_field(rng, TWO_PI, (3, 3)).coeffs, wild.coeffs])
+        cfg = IntegratorConfig(
+            scheme=scheme, t_final=100 * cfg_extra["dt"], snapshot_stride=1, **cfg_extra
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = evolve_coeffs(coeffs, TWO_PI, (3, 3), cfg)
+            with pytest.raises(IntegrationError) as caught:
+                evolve(wild, cfg)
+        (failure,) = out.failures
+        assert (failure.member, failure.step, failure.cause) == (1, caught.value.step, cause)
+        assert failure.message == str(caught.value)
+        assert 1 < failure.step < 99
+        assert failure.t == (failure.step + 1) * cfg.dt
+        # snapshot k follows step k; the member is NaN there from its failed step on
+        for k, rows in enumerate(out.snapshots):
+            assert np.isfinite(rows[0]).all()
+            assert np.isnan(rows[1]).all() == (k >= failure.step)
+            assert np.isfinite(rows[1]).all() == (k < failure.step)
+
+
 class TestSteppingContract:
     @pytest.mark.parametrize(
         "scheme,scale,cfg_extra,cause",
@@ -359,18 +424,22 @@ class TestMarchBlocks:
         coeffs = np.stack([decaying_field(rng, TWO_PI, (3, 3)).coeffs for _ in range(9)])
         # every third row is wild enough to fail
         coeffs[1::3] = random_field(rng, TWO_PI, (3, 3), scale=30.0).coeffs
-        cfg = IntegratorConfig(scheme=scheme, dt=0.05, t_final=1.0, drift_method=method)
         row = coeffs[0].nbytes
-        # one block of the whole ensemble is the unblocked march
-        monkeypatch.setattr(flow, "_MARCH_BLOCK_BYTES", coeffs.nbytes + row)
-        whole = evolve_coeffs(coeffs, TWO_PI, (3, 3), cfg)
-        assert whole.failed_members == (1, 4, 7)
-        for budget in (1, 2 * row, coeffs.nbytes + row):
-            monkeypatch.setattr(flow, "_MARCH_BLOCK_BYTES", budget)
-            for threads in (1, 2, 3):
-                out = evolve_coeffs(coeffs, TWO_PI, (3, 3), cfg, threads=threads)
-                assert out.failed_members == whole.failed_members
-                assert np.array_equal(out.coeffs, whole.coeffs, equal_nan=True)
+        for stride in (0, 3):
+            cfg = IntegratorConfig(
+                scheme=scheme, dt=0.05, t_final=1.0, drift_method=method, snapshot_stride=stride
+            )
+            # one block of the whole ensemble is the unblocked march
+            monkeypatch.setattr(flow, "_MARCH_BLOCK_BYTES", coeffs.nbytes + row)
+            whole = evolve_coeffs(coeffs, TWO_PI, (3, 3), cfg)
+            assert whole.failed_members == (1, 4, 7)
+            for budget in (1, 2 * row, coeffs.nbytes + row):
+                monkeypatch.setattr(flow, "_MARCH_BLOCK_BYTES", budget)
+                for threads in (1, 2, 3):
+                    out = evolve_coeffs(coeffs, TWO_PI, (3, 3), cfg, threads=threads)
+                    assert out.failures == whole.failures
+                    assert np.array_equal(out.coeffs, whole.coeffs, equal_nan=True)
+                    assert np.array_equal(out.snapshots, whole.snapshots, equal_nan=True)
 
     @pytest.mark.parametrize("scheme", ["rk4", "implicit_midpoint"])
     def test_peak_is_bounded_by_the_block_budget(self, scheme):

@@ -171,6 +171,17 @@ class TestCounterRange:
         assert coarse.shape[0] == fine.shape[0] == 3
 
 
+class TestStreamKeys:
+    @pytest.mark.parametrize("name", ["master_seed", "stream_id"])
+    def test_seed_and_stream_id_span_64_bits(self, name):
+        for value in (0, 2**64 - 1):
+            assert getattr(RngStream(**{"master_seed": 1, name: value}), name) == value
+        # the generator keys on 64-bit words, so these would alias 2^64 - 1, 0 and 1
+        for value in (-1, 2**64, 2**64 + 1):
+            with pytest.raises(ValueError, match=name):
+                RngStream(**{"master_seed": 1, name: value})
+
+
 class TestSamplerMemory:
     def test_peak_bounded_by_output(self):
         # numpy reports its buffers to tracemalloc; the mode and sigma caches

@@ -88,6 +88,31 @@ CASES = {
         ],
         (1, 2),
     ),
+    # backwards, with a remainder step and a stride that does not divide the 8 steps
+    "evolve-backward-stride3": (
+        [
+            "evolve",
+            "--set", "snapshot_stride=3",
+            "--set", "dt=0.01",
+            "--set", "t_final=-0.075",
+        ],
+        (1,),
+    ),
+    "evolve-zero-horizon": (["evolve", "--set", "t_final=0"], (1,)),
+    # 2 of the 100 members stall in the fixed-point solve, within failure_tol
+    "invariance-partial-failure": (
+        [
+            "invariance",
+            "--set", "cutoff=3,3",
+            "--set", "ensemble=100",
+            "--set", "scheme=implicit_midpoint",
+            "--set", "dt=0.1",
+            "--set", "t_final=0.5",
+            "--set", "max_fixed_point_iters=12",
+            "--set", "failure_tol=0.05",
+        ],
+        (1, 2),
+    ),
     "moments": (["moments", "--set", "cutoffs=4,6", "--set", "ensemble=20"], (1, 2)),
     "moments-triad": (
         [

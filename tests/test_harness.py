@@ -3,7 +3,7 @@ and the four Monte Carlo experiments."""
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -280,6 +280,12 @@ class TestChildStreams:
         assert _child(parent, 3).stream_id == (7 << 8) | 3
         assert _child(parent, 3).master_seed == 99
 
+    def test_a_child_past_the_64_bit_stream_ids_raises(self):
+        # a parent stream id of 2^56 or more would alias a lower child
+        assert _child(RngStream(1, 2**56 - 1), 255).stream_id == 2**64 - 1
+        with pytest.raises(ValueError, match="stream_id"):
+            _child(RngStream(1, 2**56), 0)
+
 
 class TestRunInvariance:
     def params(self):
@@ -356,6 +362,32 @@ class TestRunInvariance:
             run_invariance(
                 p, cfg, default_observables((2, 2)), 100, RngStream(3, 3)
             )
+
+    def test_an_abort_names_the_earliest_failed_step(self):
+        # the plan has steps 0 .. 9, and every member stalls at step 0
+        cfg = IntegratorConfig(
+            scheme="implicit_midpoint", dt=0.5, t_final=5.0, max_fixed_point_iters=3
+        )
+        p = GibbsParams(gamma=1e-4, period=TWO_PI, cutoff=(3, 3))
+        with pytest.raises(IntegrationError) as caught:
+            run_invariance(p, cfg, default_observables((3, 3)), 100, RngStream(1))
+        assert caught.value.step == 0
+        assert caught.value.members == tuple(range(100))
+        assert str(caught.value).endswith(
+            "member 0 failed first: implicit midpoint failed to reach tol=1e-12 "
+            "within 3 iterations at step 0 (t = 0.5)"
+        )
+
+    def test_a_snapshot_stride_changes_no_report_byte(self):
+        cfg = IntegratorConfig(scheme="rk4", dt=0.01, t_final=0.1)
+        dumps = {
+            json.dumps(asdict(run_invariance(
+                self.params(), replace(cfg, snapshot_stride=stride),
+                default_observables((2, 2)), 100, RngStream(5, 9),
+            )))
+            for stride in (0, 5)
+        }
+        assert len(dumps) == 1
 
 
 class TestMomentScan:
@@ -613,6 +645,18 @@ class TestContinuityProbe:
         cfg = IntegratorConfig(scheme="rk4", dt=0.05, t_final=0.05)
         args = (self.params(), cfg, [1e-2, 1e-1], 6, RngStream(24, 6))
         dumps = {json.dumps(asdict(continuity_probe(*args, threads=t))) for t in (1, 2, 3)}
+        assert len(dumps) == 1
+
+    def test_a_snapshot_stride_changes_no_report_byte(self):
+        cfg = IntegratorConfig(scheme="rk4", dt=0.01, t_final=0.1)
+        kwargs = {"level_max": 2, "points_per_unit": 8}
+        dumps = {
+            json.dumps(asdict(continuity_probe(
+                self.params(), replace(cfg, snapshot_stride=stride), [1e-2, 1e-1], 4,
+                RngStream(25, 6), **kwargs,
+            )))
+            for stride in (0, 5)
+        }
         assert len(dumps) == 1
 
     def test_validation(self):
