@@ -17,18 +17,22 @@ table, exact term by term: the two ordered terms of each unordered pair
 pair with the summed integer kernel (h^perp . k)(|j|^2 - |h|^2), which is
 -2 alpha(h, k, L) up to the prefactor, and drops the pairs where it vanishes
 (parallel modes, equal shells). A fixed-order sparse reduction then sums the
-pair products of each k. The other path is a zero-padded pseudo-spectral
-transform, an independent oracle evaluating the PDE right-hand side on a grid.
-It keeps only the n2 + 1 half-spectrum columns the box can reach and runs
-rows in chunks sized so one real grid field of a chunk fits a fixed byte
-budget; a cached plan per (period, cutoff, grid) holds the index maps and
-derivative symbols.
+pair products of each k. A call forms the products of a chunk of rows under
+a byte budget, one slice of pairs at a time, so it holds one chunk of
+products and one slice of second operands; from cutoff (13, 13) up, one
+row's products exceed the budget and set the chunk. The other path is a
+zero-padded pseudo-spectral transform, an independent oracle evaluating the
+PDE right-hand side on a grid. It keeps only the n2 + 1 half-spectrum
+columns the box can reach and runs rows in chunks sized so one real grid
+field of a chunk fits a fixed byte budget; a cached plan per (period,
+cutoff, grid) holds the index maps and derivative symbols. Both plans are
+built once per key, however many threads miss the cache together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +41,7 @@ from .spectral import (
     Mode,
     SpectralField,
     TWO_PI,
+    _plan_cache,
     _sobolev_weights,
     mode_arrays,
 )
@@ -50,6 +55,12 @@ _PSEUDO_FIELD_BYTES = 1 << 17
 
 # byte budget for one chunk of pair products in the triad drift
 _TRIAD_TERMS_BYTES = 1 << 20
+
+# byte budget for the slice of second pair operands gathered per multiply in
+# the triad drift; each slice adds numpy calls that hand the GIL between row
+# threads, and 256 KiB slowed the two-thread (8, 8) rk4 evolution by about
+# 18% where 512 KiB left it unchanged
+_TRIAD_SLICE_BYTES = 1 << 19
 
 
 def alpha(h: Sequence[int], k: Sequence[int], period: float) -> float:
@@ -96,7 +107,7 @@ class _TriadTable:
     matrix: object  # scipy.sparse.csr_array, imported by _triad_table
 
 
-@lru_cache(maxsize=None)
+@_plan_cache()
 def _triad_table(cutoff: Mode) -> _TriadTable:
     from scipy import sparse
 
@@ -154,18 +165,41 @@ def _triad_table(cutoff: Mode) -> _TriadTable:
 
 
 def _triad_chunk(
-    coeffs: np.ndarray, table: _TriadTable, prefactor: float, work: np.ndarray
+    coeffs: np.ndarray,
+    table: _TriadTable,
+    prefactor: float,
+    products: np.ndarray,
+    gathered: np.ndarray,
 ) -> np.ndarray:
     """One chunk of the triad drift: the pair products of the signed-mode
-    vectors, reduced per mode by the table's fixed-order sparse matrix. The
-    operands are taken into work, which every chunk of a call reuses, so their
-    pages are not handed back and faulted in again on every chunk."""
+    vectors, reduced per mode by the table's fixed-order sparse matrix.
+
+    The products are formed slice by slice: the first operands of a slice of
+    pairs are taken into products, the second ones into gathered, and
+    multiplied into the first in place. So a chunk holds its products and one
+    slice, and numpy's take, which copies a read-only index array, copies
+    one slice of the table's indices at a time. Every chunk of a call reuses
+    both buffers, so their pages are not handed back and faulted in again on
+    every chunk. Each product is the same single multiply whatever the
+    slicing, and no multiply is of one lone product, so the slice size
+    cannot change a bit of the result.
+    """
     block = coeffs.T
+    rows = block.shape[1]
     signed = np.concatenate([block, np.conj(block)])
-    terms, other = work[:, : table.u_idx.size * block.shape[1]].reshape(2, table.u_idx.size, -1)
-    # a mode other than "raise" takes straight into out; the indices are in range
-    np.take(signed, table.u_idx, axis=0, out=terms, mode="clip")
-    terms *= np.take(signed, table.v_idx, axis=0, out=other, mode="clip")
+    pairs = table.u_idx.size
+    terms = products[: pairs * rows].reshape(-1, rows)
+    span = gathered.size // rows
+    for lo in range(0, pairs, span):
+        # numpy multiplies a lone complex element on a scalar path that rounds
+        # differently from its vector loop, so a last slice of one pair starts
+        # a pair early and forms that pair's product again, bitwise the same
+        lo = min(lo, pairs - 2)
+        part = terms[lo : lo + span]
+        other = gathered[: part.size].reshape(-1, rows)
+        # a mode other than "raise" takes straight into out; the indices are in range
+        np.take(signed, table.u_idx[lo : lo + span], axis=0, out=part, mode="clip")
+        part *= np.take(signed, table.v_idx[lo : lo + span], axis=0, out=other, mode="clip")
     # a real matrix times the float64 view of complex columns reduces the
     # real and imaginary parts alike, with no complex copy of the matrix
     sums = (table.matrix @ terms.view(np.float64)).view(np.complex128)
@@ -210,7 +244,7 @@ class _PseudoPlan:
     norm: float
 
 
-@lru_cache(maxsize=None)
+@_plan_cache()
 def _pseudo_plan(period: float, cutoff: Mode, m: int) -> _PseudoPlan:
     length = float(period)
     k1, k2 = mode_arrays(cutoff)
@@ -308,10 +342,18 @@ def drift_batch(
         raise ValueError(f"coeffs must be 2-D (batch, modes), got shape {coeffs.shape}")
     if method == TRIAD_SUM:
         table = _triad_table(cutoff)
-        rows = max(1, _TRIAD_TERMS_BYTES // (16 * table.u_idx.size))
-        work = np.empty((2, table.u_idx.size * min(rows, coeffs.shape[0])), dtype=np.complex128)
-        prefactor = TWO_PI**2 / float(period) ** 3
-        chunk = partial(_triad_chunk, table=table, prefactor=prefactor, work=work)
+        pairs = table.u_idx.size
+        rows = max(1, _TRIAD_TERMS_BYTES // (16 * pairs))
+        width = max(1, min(rows, coeffs.shape[0]))
+        # two pairs at least, so no slice multiplies a lone element
+        span = min(pairs, max(2, _TRIAD_SLICE_BYTES // (16 * width)))
+        chunk = partial(
+            _triad_chunk,
+            table=table,
+            prefactor=TWO_PI**2 / float(period) ** 3,
+            products=np.empty(pairs * width, dtype=np.complex128),
+            gathered=np.empty(span * width, dtype=np.complex128),
+        )
     elif method == PSEUDO_SPECTRAL:
         m = _check_grid(grid, cutoff)
         rows = max(1, _PSEUDO_FIELD_BYTES // (8 * m * m))

@@ -227,11 +227,26 @@ def _rhs(coeffs: np.ndarray, period: float, cutoff: Mode, cfg: IntegratorConfig)
 def _rk4_step(
     coeffs: np.ndarray, h: float, period: float, cutoff: Mode, cfg: IntegratorConfig
 ) -> np.ndarray:
-    k1 = _rhs(coeffs, period, cutoff, cfg)
-    k2 = _rhs(coeffs + (0.5 * h) * k1, period, cutoff, cfg)
-    k3 = _rhs(coeffs + (0.5 * h) * k2, period, cutoff, cfg)
-    k4 = _rhs(coeffs + h * k3, period, cutoff, cfg)
-    return coeffs + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """coeffs + (h/6)(k1 + 2 k2 + 2 k3 + k4), summed in place in that order.
+
+    k1's array accumulates the weighted stages and one array holds each stage
+    input, so a block holds one accumulator, one stage and one drift result.
+    Every operation is the one the expression evaluates, with its operands in
+    the same order, so the result is bitwise that of the expression.
+    """
+    acc = _rhs(coeffs, period, cutoff, cfg)
+    stage = np.multiply(0.5 * h, acc)
+    for weight in (0.5 * h, h):
+        np.add(coeffs, stage, out=stage)
+        rate = _rhs(stage, period, cutoff, cfg)
+        np.multiply(weight, rate, out=stage)
+        np.multiply(2.0, rate, out=rate)
+        acc += rate
+        del rate
+    np.add(coeffs, stage, out=stage)
+    acc += _rhs(stage, period, cutoff, cfg)
+    np.multiply(h / 6.0, acc, out=acc)
+    return np.add(coeffs, acc, out=acc)
 
 
 def _midpoint_step(
@@ -241,18 +256,20 @@ def _midpoint_step(
 
     Rows iterate independently: a row stops updating the moment its own
     fixed-point increment drops below tolerance, so results are bitwise
-    independent of which rows share a batch.
+    independent of which rows share a batch. While every row is active the
+    block is indexed by a slice, which copies no rows.
     """
     half = 0.5 * h
     stage = coeffs + half * _rhs(coeffs, period, cutoff, cfg)
     active = np.ones(coeffs.shape[0], dtype=bool)
     for _ in range(cfg.max_fixed_point_iters):
-        rows = np.nonzero(active)[0]
+        rows = slice(None) if active.all() else np.nonzero(active)[0]
         updated = coeffs[rows] + half * _rhs(stage[rows], period, cutoff, cfg)
         increment = np.max(np.abs(updated - stage[rows]), axis=1)
         stage[rows] = updated
-        done = increment <= cfg.fixed_point_tol
-        active[rows[done]] = False
+        del updated
+        # rows holds only active rows; a NaN increment keeps its row active
+        active[rows] = ~(increment <= cfg.fixed_point_tol)
         if not active.any():
             break
     return 2.0 * stage - coeffs, active
@@ -288,9 +305,11 @@ def _march(
     for index, h in enumerate(steps):
         if alive.size == 0:
             return
-        # the stepped rows are dropped before the yield, so they are not held
+        # a slice while every row is alive copies no rows out and back; the
+        # stepped rows are dropped before the yield, so they are not held
         # while the caller writes its snapshot
-        current[alive], stalled, overflowed = _advance(current[alive], h, period, cutoff, cfg)
+        rows = slice(None) if alive.size == current.shape[0] else alive
+        current[rows], stalled, overflowed = _advance(current[rows], h, period, cutoff, cfg)
         yield index, current, alive[stalled], alive[overflowed & ~stalled]
         alive = alive[~(stalled | overflowed)]
 

@@ -273,14 +273,18 @@ def coupled_dyadic_matrices(
     n1, n2 = fine_params.cutoff
     # block modes are positive and have k2 >= -n2, so only the upper bounds can fail
     inside = (block1 <= n1) & (block2 <= n2)
+    # every slot is taken straight from the fine deviates (slot 0 stands in
+    # past the box), then the slots past the box get their own draws
+    slots = np.where(inside, _box_slots(fine_params.cutoff, block1, block2), 0)
     zeta = np.empty((count,) + block1.shape, dtype=np.complex128)
-    zeta[:, inside] = fine[:, _box_slots(fine_params.cutoff, block1[inside], block2[inside])]
+    np.take(fine, slots.ravel(), axis=1, out=zeta.reshape(count, slots.size), mode="clip")
     zeta[:, ~inside] = standard_complex_normals(
         rng, start, count, block1[~inside], block2[~inside]
     )
-    pooled = zeta.sum(axis=2) / math.sqrt(refine)
-    sigma = _sigma_vector(p_base.gamma, p_base.period, p_base.cutoff)
-    coarse = pooled * sigma[None, :]
+    coarse = zeta.sum(axis=2)
+    del zeta
+    coarse /= math.sqrt(refine)
+    coarse *= _sigma_vector(p_base.gamma, p_base.period, p_base.cutoff)
     fine *= _sigma_vector(fine_params.gamma, fine_params.period, fine_params.cutoff)
     return coarse, fine, fine_params
 

@@ -699,6 +699,8 @@ def cauchy_scan(
         sq = np.concatenate(map_row_blocks(distances, ensemble_size, threads))
         mean, _, se = _column_stats(sq)
         rows.append(CauchyRow(level=n, mean_sq_distance=mean, se=se))
+        # released before the next level draws, so two levels are never held
+        del coarse, fine, sq
 
     by_level = sorted(rows, key=lambda r: r.level)
     decreasing = len(by_level) > 1 and all(

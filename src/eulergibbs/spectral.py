@@ -23,9 +23,10 @@ are exactly the conserved quadratic invariants of the truncated Euler flow.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Mapping, Sequence
+from functools import lru_cache, wraps
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -35,6 +36,31 @@ SobolevOrder = float
 FIELD_SCHEMA = "field.v1"
 
 TWO_PI = 2.0 * math.pi
+
+P = TypeVar("P")
+
+
+def _plan_cache(maxsize: int | None = None) -> Callable[[Callable[..., P]], Callable[..., P]]:
+    """lru_cache for the read-only plan builders that builds each key once.
+
+    lru_cache alone lets concurrent misses of one key each run the builder,
+    so row-block threads that start together would build the same plan
+    twice. One lock per builder makes a miss wait for a build in progress.
+    """
+
+    def decorate(builder: Callable[..., P]) -> Callable[..., P]:
+        cached = lru_cache(maxsize=maxsize)(builder)
+        lock = threading.Lock()
+
+        @wraps(builder)
+        def plan(*args):
+            with lock:
+                return cached(*args)
+
+        plan.cache_clear = cached.cache_clear
+        return plan
+
+    return decorate
 
 
 def is_positive(k: Sequence[int]) -> bool:
@@ -342,7 +368,7 @@ def _quadrature_points(level_max: int, points_per_unit: int) -> np.ndarray:
     return (np.arange(count, dtype=np.float64) + 0.5) / points_per_unit
 
 
-@lru_cache(maxsize=32)
+@_plan_cache(maxsize=32)
 def _metric_plan(
     period: float, cutoff: Mode, order: float, level_max: int, points_per_unit: int
 ) -> _GridEvaluator:

@@ -891,7 +891,7 @@ class TestEdgeFailures:
     def test_a_seed_outside_the_generator_range_is_a_config_error(
         self, tmp_path, capsys, seed
     ):
-        # the generator keys on the seed modulo 2^64, so these would alias 0 .. 2^64 - 1
+        # RngStream rejects these seeds too; the CLI checks first, so its message names the flag
         out = tmp_path / "out"
         argv = ["sample", "--seed", str(seed), "--out", str(out), "--set", "count=2"]
         assert main(argv) == EXIT_CONFIG

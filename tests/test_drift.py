@@ -1,5 +1,6 @@
 """Triad coefficients, the Galerkin drift, its oracle, and conservation identities."""
 
+import importlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from eulergibbs.drift import (
     _PSEUDO_FIELD_BYTES,
+    _TRIAD_SLICE_BYTES,
     _TRIAD_TERMS_BYTES,
     PSEUDO_SPECTRAL,
     TRIAD_SUM,
@@ -28,6 +30,9 @@ from eulergibbs.spectral import SpectralField, mode_arrays, mode_box, sobolev_no
 from conftest import random_field
 
 TWO_PI = 2.0 * math.pi
+
+# the package re-exports the drift() function under the submodule's name
+drift_module = importlib.import_module("eulergibbs.drift")
 
 
 def alpha_reference(h, k, period):
@@ -427,6 +432,64 @@ class TestDriftMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * budget + out.nbytes
+
+    def test_triad_call_holds_one_operand_and_one_slice(self, rng):
+        # at (16, 16) one row's pair products exceed the chunk budget, so every
+        # chunk is one row; both full operands would exceed this bound
+        cutoff = (16, 16)
+        coeffs = random_rows(rng, cutoff, 512)
+        drift_batch(coeffs[:1], 1.0, cutoff)
+        one_row = 16 * _triad_table(cutoff).u_idx.size
+        assert one_row > _TRIAD_TERMS_BYTES
+        tracemalloc.start()
+        try:
+            out = drift_batch(coeffs, 1.0, cutoff)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the second slice covers the copy numpy's take makes of a read-only
+        # index slice (half a slice here), the signed-mode vectors and the sums
+        assert peak <= one_row + 2 * _TRIAD_SLICE_BYTES + out.nbytes
+
+
+def triad_reference(coeffs, period, cutoff):
+    """The triad drift of each row alone, with both pair operands gathered whole."""
+    table = _triad_table(cutoff)
+    rows = []
+    for row in coeffs:
+        signed = np.concatenate([row, np.conj(row)])[:, None]
+        terms = signed[table.u_idx] * signed[table.v_idx]
+        sums = (table.matrix @ terms.view(np.float64)).view(np.complex128)
+        rows.append(TWO_PI**2 / float(period) ** 3 * sums.T)
+    return np.concatenate(rows)
+
+
+class TestTriadSlices:
+    @pytest.mark.parametrize("cutoff", [(3, 3), (8, 8), (16, 16)])
+    @pytest.mark.parametrize("count", [1, 5, 7])
+    def test_slice_size_is_bitwise_irrelevant(self, monkeypatch, rng, cutoff, count):
+        coeffs = random_rows(rng, cutoff, count)
+        expected = triad_reference(coeffs, 1.3, cutoff)
+        pairs = _triad_table(cutoff).u_idx.size
+        # the smallest slice (two pairs), a few pairs, a last slice of one
+        # pair in every one-row chunk, and one slice of the whole table
+        for budget in (1, 48 * count, 16 * (pairs - 1), 16 * count * (pairs + 1)):
+            if budget == 1 and cutoff == (16, 16) and count > 1:
+                continue  # every (16, 16) chunk is one row, so one row covers it
+            monkeypatch.setattr(drift_module, "_TRIAD_SLICE_BYTES", budget)
+            out = drift_batch(coeffs, 1.3, cutoff)
+            assert out.tobytes() == expected.tobytes()
+
+    def test_a_last_slice_of_one_pair_is_formed_like_the_rest(self, monkeypatch, rng):
+        # numpy rounds a lone complex product differently in about one call
+        # in five at (3, 3), so many one-row calls show a lone last product
+        cutoff = (3, 3)
+        coeffs = random_rows(rng, cutoff, 64)
+        expected = triad_reference(coeffs, 1.3, cutoff)
+        pairs = _triad_table(cutoff).u_idx.size
+        monkeypatch.setattr(drift_module, "_TRIAD_SLICE_BYTES", 16 * (pairs - 1))
+        for row, reference in zip(coeffs, expected):
+            assert drift_batch(row[None, :], 1.3, cutoff)[0].tobytes() == reference.tobytes()
 
 
 class TestConservation:

@@ -1,7 +1,9 @@
 """Integrator schemes: steady states, order, reversibility, conservation, batching."""
 
+import importlib
 import itertools
 import math
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from eulergibbs import flow
-from eulergibbs.drift import drift_batch
+from eulergibbs.drift import _TRIAD_SLICE_BYTES, _TRIAD_TERMS_BYTES, drift_batch
 from eulergibbs.flow import (
     EnsembleEvolution,
     IntegrationError,
@@ -90,6 +92,19 @@ class TestStepPlan:
                 IntegratorConfig(dt=dt, t_final=t_final)
 
 
+def rk4_reference(coeffs, h, period, cutoff, cfg):
+    """The classical rk4 step as one expression, the form _rk4_step sums in place."""
+
+    def rhs(c):
+        return drift_batch(c, period, cutoff, method=cfg.drift_method, grid=cfg.grid)
+
+    k1 = rhs(coeffs)
+    k2 = rhs(coeffs + (0.5 * h) * k1)
+    k3 = rhs(coeffs + (0.5 * h) * k2)
+    k4 = rhs(coeffs + h * k3)
+    return coeffs + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 class TestStep:
     @pytest.mark.parametrize("scheme", ["rk4", "implicit_midpoint"])
     def test_single_mode_unchanged(self, scheme):
@@ -123,6 +138,51 @@ class TestStep:
         )
         with pytest.raises(IntegrationError):
             step(f, cfg)
+
+
+class TestInPlaceStages:
+    @pytest.mark.parametrize("method", ["triad_sum", "pseudo_spectral"])
+    @pytest.mark.parametrize("rows", [1, 2, 9])
+    def test_rk4_step_is_bitwise_the_expression(self, rng, method, rows):
+        cutoff = (4, 4)
+        coeffs = np.stack([decaying_field(rng, TWO_PI, cutoff).coeffs for _ in range(rows)])
+        if rows > 2:
+            # an infinite, a NaN and an overflowing row share the block
+            coeffs[1, 3] = np.inf
+            coeffs[4, 0] = complex(np.nan, 1.0)
+            coeffs[7] *= 1e160
+        cfg = IntegratorConfig(drift_method=method)
+        for h in (0.05, -0.05):
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = rk4_reference(coeffs, h, TWO_PI, cutoff, cfg)
+                out = flow._rk4_step(coeffs, h, TWO_PI, cutoff, cfg)
+            if rows > 2:
+                assert not np.isfinite(expected[[1, 4, 7]]).all(axis=1).any()
+            assert out.tobytes() == expected.tobytes()
+
+
+class TestPlanBuilds:
+    @pytest.mark.parametrize("method", ["triad_sum", "pseudo_spectral"])
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_threads_build_each_plan_once(self, rng, monkeypatch, method, threads):
+        # a slow builder holds its first build open while the other threads
+        # miss the cache, so a cache that does not wait for it builds again
+        drift_module = importlib.import_module("eulergibbs.drift")
+        builds = []
+        real = drift_module.mode_arrays
+
+        def slow(cutoff):
+            builds.append(cutoff)
+            time.sleep(0.05)
+            return real(cutoff)
+
+        monkeypatch.setattr(drift_module, "mode_arrays", slow)
+        drift_module._triad_table.cache_clear()
+        drift_module._pseudo_plan.cache_clear()
+        coeffs = np.stack([decaying_field(rng, TWO_PI, (5, 5)).coeffs for _ in range(6)])
+        cfg = IntegratorConfig(dt=1e-2, t_final=1e-2, drift_method=method)
+        evolve_coeffs(coeffs, TWO_PI, (5, 5), cfg, threads=threads)
+        assert builds == [(5, 5)]
 
 
 class TestEvolve:
@@ -440,6 +500,27 @@ class TestMarchBlocks:
                     assert out.failures == whole.failures
                     assert np.array_equal(out.coeffs, whole.coeffs, equal_nan=True)
                     assert np.array_equal(out.snapshots, whole.snapshots, equal_nan=True)
+
+    @pytest.mark.parametrize("method", ["triad_sum", "pseudo_spectral"])
+    def test_rk4_block_holds_one_accumulator_stage_and_rate(self, monkeypatch, method):
+        p = GibbsParams(1.0, TWO_PI, (4, 4))
+        cfg = IntegratorConfig(scheme="rk4", dt=1e-2, t_final=1e-2, drift_method=method)
+        coeffs = sample_coeff_matrix(p, RngStream(3), 2000)
+        # one block of the whole ensemble, large beside the drift's own buffers
+        monkeypatch.setattr(flow, "_MARCH_BLOCK_BYTES", coeffs.nbytes)
+        evolve_coeffs(coeffs[:1], p.period, p.cutoff, cfg)
+        tracemalloc.start()
+        try:
+            out = evolve_coeffs(coeffs, p.period, p.cutoff, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the block's rows, the accumulator, the stage and one drift result,
+        # plus the drift's own buffers: a triad chunk of products, a slice and
+        # the index copy numpy's take makes (the collocation needs less); four
+        # drift results and the temporaries of their sum need about twice that
+        drift_buffers = _TRIAD_TERMS_BYTES + 2 * _TRIAD_SLICE_BYTES
+        assert peak <= out.snapshots.nbytes + 4 * coeffs.nbytes + drift_buffers
 
     @pytest.mark.parametrize("scheme", ["rk4", "implicit_midpoint"])
     def test_peak_is_bounded_by_the_block_budget(self, scheme):

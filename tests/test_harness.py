@@ -1,8 +1,10 @@
 """Tests for the statistical harness: the KS and chi-square kit, observables,
 and the four Monte Carlo experiments."""
 
+import importlib
 import json
 import math
+import time
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -533,6 +535,25 @@ class TestCauchyScan:
         lone = cauchy_scan(*args, threads=1, **kwargs)
         pooled = cauchy_scan(*args, threads=3, **kwargs)
         assert json.dumps(asdict(lone)) == json.dumps(asdict(pooled))
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_threads_build_each_metric_plan_once(self, monkeypatch, threads):
+        # a slow builder holds its first build open while the other threads
+        # miss the cache, so a cache that does not wait for it builds again
+        spectral_module = importlib.import_module("eulergibbs.spectral")
+        builds = []
+        real = spectral_module._quadrature_points
+
+        def slow(level_max, points_per_unit):
+            builds.append((level_max, points_per_unit))
+            time.sleep(0.05)
+            return real(level_max, points_per_unit)
+
+        monkeypatch.setattr(spectral_module, "_quadrature_points", slow)
+        spectral_module._metric_plan.cache_clear()
+        cauchy_scan([1, 2], -1.5, 6, RngStream(15, 4), level_max=2, points_per_unit=8, threads=threads)
+        # one plan per level: the fine lattices of levels 1 and 2 differ
+        assert builds == [(2, 8), (2, 8)]
 
     def test_default_quadrature_identical_across_threads(self):
         # level_max = 4, points_per_unit = 64: the quadrature the CLI runs
