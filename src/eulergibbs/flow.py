@@ -11,12 +11,12 @@ Negative t_final integrates backwards (the drift is autonomous, so this is
 sign-flipped stepping). Trajectories record snapshots plus the relative
 energy and enstrophy drift between the endpoints.
 
-All stepping goes through one loop: _march advances a block of rows over
-the planned steps with _advance, the only place the scheme is dispatched,
-and drops a row from the block once it stalls or overflows. Its one caller,
-evolve_coeffs, splits the rows among threads and marches each thread's rows
-in blocks of at most _MARCH_BLOCK_BYTES into one preallocated snapshot array,
-recording each failed row's step and cause. evolve is its one-row case.
+All stepping goes through one loop, in evolve_coeffs: it splits the rows
+among threads and steps each thread's rows in blocks of at most
+_MARCH_BLOCK_BYTES, dispatching on the scheme at each step. The same loop
+records each failed row's step and cause, sets the row to NaN and stops
+stepping it, and writes the block into one preallocated snapshot array.
+evolve is its one-row case.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -275,45 +275,6 @@ def _midpoint_step(
     return 2.0 * stage - coeffs, active
 
 
-def _advance(
-    rows: np.ndarray, h: float, period: float, cutoff: Mode, cfg: IntegratorConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One signed step of the configured scheme over a block of independent rows.
-
-    Returns the stepped rows, the mask of rows whose fixed-point solve stalled
-    (never set by rk4) and the mask of rows with a non-finite coefficient.
-    """
-    if cfg.scheme == "rk4":
-        stepped = _rk4_step(rows, h, period, cutoff, cfg)
-        stalled = np.zeros(rows.shape[0], dtype=bool)
-    else:
-        stepped, stalled = _midpoint_step(rows, h, period, cutoff, cfg)
-    return stepped, stalled, ~np.isfinite(stepped).all(axis=1)
-
-
-def _march(
-    coeffs: np.ndarray, steps: Iterable[float], period: float, cutoff: Mode, cfg: IntegratorConfig
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Advance a copy of coeffs through the planned steps, yielding after each one.
-
-    Yields (step index, current rows, stalled row indices, overflowed row
-    indices). A row that failed is never stepped again and keeps the value
-    of its failed step; the loop ends early once every row has failed.
-    """
-    current = coeffs.copy()
-    alive = np.arange(current.shape[0])
-    for index, h in enumerate(steps):
-        if alive.size == 0:
-            return
-        # a slice while every row is alive copies no rows out and back; the
-        # stepped rows are dropped before the yield, so they are not held
-        # while the caller writes its snapshot
-        rows = slice(None) if alive.size == current.shape[0] else alive
-        current[rows], stalled, overflowed = _advance(current[rows], h, period, cutoff, cfg)
-        yield index, current, alive[stalled], alive[overflowed & ~stalled]
-        alive = alive[~(stalled | overflowed)]
-
-
 @lru_cache(maxsize=None)
 def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     """(get, set) of the thread count of numpy's bundled OpenBLAS, or None without one."""
@@ -365,14 +326,17 @@ def evolve_coeffs(
 ) -> EnsembleEvolution:
     """Evolve every row of a coefficient matrix over cfg.t_final, with snapshots.
 
-    threads > 1 evolves contiguous row blocks concurrently. Each thread
-    marches its rows through every step in blocks of at most
-    _MARCH_BLOCK_BYTES of coefficients and writes each block's rows at every
-    snapshot step into the preallocated result, so the stepping temporaries
-    are bounded by the block, not by the ensemble. The input is only read,
-    and the result never shares its memory. Rows never interact, so the
-    result is bitwise identical for any thread count and block size. Failed
-    rows (solver stall, overflow) are recorded, not raised.
+    threads > 1 evolves contiguous row blocks concurrently. Each thread steps
+    a copy of its rows through every step in blocks of at most
+    _MARCH_BLOCK_BYTES of coefficients, so the stepping temporaries are
+    bounded by the block, not by the ensemble. After each step the block
+    loop records every row that stalled or overflowed (a stall wins), sets it
+    to NaN and stops stepping it, then writes the block into the
+    preallocated snapshots if the step is a snapshot step. Once no row of a
+    block is alive, its remaining snapshots are filled with NaN and the block
+    stops. The input is only read, and the result never shares its memory.
+    Rows never interact, so the result is bitwise identical for any thread
+    count and block size. Failures are recorded, not raised.
     """
     cutoff = (int(cutoff[0]), int(cutoff[1]))
     coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -394,18 +358,34 @@ def evolve_coeffs(
         failures: list[MemberFailure] = []
         for start in range(lo, hi, block):
             stop = min(start + block, hi)
-            marching = _march(coeffs[start:stop], steps, period, cutoff, cfg)
-            for index, current, stalled, overflowed in marching:
-                for cause, rows in zip(causes, (stalled, overflowed)):
+            current = coeffs[start:stop].copy()
+            alive = np.arange(current.shape[0])
+            for index, h in enumerate(steps):
+                # a slice while every row is alive copies no rows out and back
+                rows = slice(None) if alive.size == current.shape[0] else alive
+                if cfg.scheme == "rk4":
+                    stepped = _rk4_step(current[rows], h, period, cutoff, cfg)
+                    stalled = np.zeros(alive.size, dtype=bool)
+                else:
+                    stepped, stalled = _midpoint_step(current[rows], h, period, cutoff, cfg)
+                failed = stalled | ~np.isfinite(stepped).all(axis=1)
+                current[rows] = stepped
+                del stepped  # so the stepped rows are not held while the snapshot is written
+                if failed.any():
                     t = steps.time(index)
-                    failures += (MemberFailure(start + int(i), index, t, cause) for i in rows)
+                    for i in np.nonzero(failed)[0]:
+                        cause = causes[0 if stalled[i] else 1]
+                        failures.append(MemberFailure(start + int(alive[i]), index, t, cause))
+                    current[alive[failed]] = np.nan
+                    alive = alive[~failed]
                 if index == last or (stride and (index + 1) % stride == 0):
                     snapshots[-1 if index == last else index // stride, start:stop] = current
+                if alive.size == 0:
+                    snapshots[bisect.bisect_right(strided, index) :, start:stop] = np.nan
+                    break
         return failures
 
     failures = sorted(itertools.chain.from_iterable(map_row_blocks(run, coeffs.shape[0], threads)))
-    for failure in failures:
-        snapshots[bisect.bisect_left(strided, failure.step) :, failure.member] = np.nan
     return EnsembleEvolution(
         snapshots=snapshots,
         times=tuple(steps.time(i) for i in (*strided, last)) if last >= 0 else (),

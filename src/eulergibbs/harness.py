@@ -351,6 +351,14 @@ def run_invariance(
     observables = tuple(observables)
     if not observables:
         raise ValueError("need at least one observable")
+    # a level or factor at or below zero passes its verdict by construction
+    for name, value in (
+        ("alpha", alpha), ("pass_fraction", pass_fraction), ("mean_se_factor", mean_se_factor)
+    ):
+        if not value > 0.0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
+    if not failure_tol >= 0.0:
+        raise ValueError(f"failure_tol must be >= 0, got {failure_tol!r}")
 
     initial = sample_coeff_matrix(p, _child(rng, STREAM_EVOLVED), ensemble_size)
     # only the final rows are read, so a snapshot stride would only cost memory
@@ -533,9 +541,14 @@ def moment_scan(
     for name, values in (("orders", orders), ("exponents", exponents)):
         if len(set(values)) < len(values):
             raise ValueError(f"{name} must be pairwise distinct, got {values}")
+    if not all(q > 0.0 for q in exponents):
+        raise ValueError(f"exponents must be positive, got {exponents}")
     ladder = tuple((int(c[0]), int(c[1])) for c in cutoffs)
     if len(ladder) < 2:
         raise ValueError("need at least two cutoffs to compare")
+    # a rung equal to the one before repeats its draws, so its tail is stable by construction
+    if any(b[0] < a[0] or b[1] < a[1] or a == b for a, b in zip(ladder, ladder[1:])):
+        raise ValueError(f"each cutoff box must strictly contain the one before, got {ladder}")
     if expect not in ("auto", "stable", "divergent", "none"):
         raise ValueError(f"expect must be auto, stable, divergent or none, got {expect!r}")
     stream = _child(rng, STREAM_MOMENTS)
@@ -788,6 +801,9 @@ def continuity_probe(
     delta_list = [float(d) for d in deltas]
     if any(d < 0.0 for d in delta_list):
         raise ValueError("deltas must be nonnegative")
+    # a repeated delta would compare a ratio with itself; 0.0 == -0.0 in the set
+    if len(set(delta_list)) < len(delta_list):
+        raise ValueError(f"deltas must be pairwise distinct, got {delta_list}")
     stream = _child(rng, STREAM_CONTINUITY)
     # only the final rows are read, so a snapshot stride would only cost memory
     cfg = replace(cfg, snapshot_stride=0)

@@ -16,6 +16,7 @@ from eulergibbs.flow import (
     EnsembleEvolution,
     IntegrationError,
     IntegratorConfig,
+    MemberFailure,
     Trajectory,
     _openblas_threads,
     _plan_steps,
@@ -314,6 +315,17 @@ class TestEnsembleEvolution:
         for i in range(coeffs.shape[0]):
             if i not in out.failed_members:
                 assert np.isfinite(out.coeffs[i]).all()
+
+    def test_a_row_that_stalls_and_overflows_is_recorded_as_a_stall(self, rng):
+        # an infinite row's fixed-point increments are NaN, so it never converges
+        # and its stepped value is not finite; the stall is its recorded cause
+        coeffs = np.stack([decaying_field(rng, TWO_PI, (3, 3)).coeffs for _ in range(3)])
+        coeffs[1, 0] = np.inf
+        cfg = IntegratorConfig(scheme="implicit_midpoint", dt=0.05, t_final=0.2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = evolve_coeffs(coeffs, TWO_PI, (3, 3), cfg)
+        cause = "implicit midpoint failed to reach tol=1e-12 within 100 iterations"
+        assert out.failures == (MemberFailure(1, 0, 0.05, cause),)
 
     # the rows fail on the pool's threads, where np.errstate does not reach
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

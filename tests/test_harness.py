@@ -305,6 +305,26 @@ class TestRunInvariance:
         with pytest.raises(ValueError, match="observable"):
             run_invariance(self.params(), cfg, [], 200, RngStream(1))
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("alpha", 0.0),
+            ("alpha", -1.0),
+            ("pass_fraction", 0.0),
+            ("mean_se_factor", 0.0),
+            ("failure_tol", -0.5),
+        ],
+    )
+    def test_thresholds_out_of_range_raise(self, name, value):
+        # a level or factor at or below 0 passes its verdict by construction, and a
+        # negative failure_tol ended in an unrelated error about an empty min()
+        cfg = IntegratorConfig(t_final=0.0)
+        with pytest.raises(ValueError, match=name):
+            run_invariance(
+                self.params(), cfg, default_observables((2, 2)), 100, RngStream(1),
+                **{name: value},
+            )
+
     def test_time_zero_null_calibration(self):
         cfg = IntegratorConfig(scheme="rk4", dt=0.1, t_final=0.0)
         report = run_invariance(
@@ -421,20 +441,42 @@ class TestMomentScan:
         half_large = np.asarray(large.series_for(-1.5, 0.5).means)
         assert np.array_equal(half, 4.0 * half_large)
 
-    def test_identical_rungs_share_draws(self):
+    def test_identical_rungs_are_rejected(self):
+        # a rung equal to the one before repeats its draws, so its tail would be
+        # stable by construction; the common random numbers across boxes are
+        # checked by test_gibbs.py's test_draws_independent_of_cutoff_box
+        with pytest.raises(ValueError, match="strictly contain"):
+            moment_scan(
+                GibbsParams(1.0, TWO_PI, (2, 2)),
+                [-2.0],
+                [1.0],
+                12,
+                RngStream(8),
+                cutoffs=((3, 3), (3, 3)),
+                drift_method=TRIAD_SUM,
+            )
+
+    @pytest.mark.parametrize(
+        "ladder", [((3, 3), (4, 2)), ((4, 4), (3, 3)), ((2, 2), (3, 3), (3, 3))]
+    )
+    def test_ladders_that_do_not_grow_are_rejected(self, ladder):
+        p = GibbsParams(1.0, TWO_PI, (2, 2))
+        with pytest.raises(ValueError, match="strictly contain"):
+            moment_scan(p, [-1.5], [1.0], 8, RngStream(1), cutoffs=ladder)
+
+    def test_a_ladder_may_grow_one_component(self):
         report = moment_scan(
-            GibbsParams(1.0, TWO_PI, (2, 2)),
-            [-2.0],
-            [1.0],
-            12,
-            RngStream(8),
-            cutoffs=((3, 3), (3, 3)),
-            drift_method=TRIAD_SUM,
+            GibbsParams(1.0, TWO_PI, (2, 2)), [-1.5], [1.0], 8, RngStream(1),
+            cutoffs=((2, 2), (2, 3)), drift_method=TRIAD_SUM,
         )
-        series = report.series_for(-2.0, 1.0)
-        assert series.means[0] == series.means[1]
-        assert series.stable_tail
-        assert not series.strictly_increasing
+        assert report.cutoffs == ((2, 2), (2, 3))
+
+    @pytest.mark.parametrize("exponent", [0.0, -1.0])
+    def test_exponents_must_be_positive(self, exponent):
+        # q = 0 makes every mean 1, so the tail is stable by construction
+        p = GibbsParams(1.0, TWO_PI, (2, 2))
+        with pytest.raises(ValueError, match="exponents must be positive"):
+            moment_scan(p, [-1.5], [exponent], 8, RngStream(1), cutoffs=((2, 2), (3, 3)))
 
     def test_shapes_and_lookup(self):
         report = moment_scan(
@@ -686,3 +728,10 @@ class TestContinuityProbe:
             continuity_probe(self.params(), cfg, [-0.1], 4, RngStream(1))
         with pytest.raises(ValueError, match="ensemble_size"):
             continuity_probe(self.params(), cfg, [0.1], 1, RngStream(1))
+
+    @pytest.mark.parametrize("deltas", [[0.1, 0.1], [0.0, -0.0, 0.1], [0.1, 0.01, 0.1]])
+    def test_repeated_deltas_are_rejected(self, deltas):
+        # the two smallest positive deltas would be one, so their ratios agree by construction
+        cfg = IntegratorConfig(scheme="rk4", dt=0.05, t_final=0.1)
+        with pytest.raises(ValueError, match="deltas must be pairwise distinct"):
+            continuity_probe(self.params(), cfg, deltas, 8, RngStream(1))
