@@ -50,7 +50,6 @@ from .flow import (
     IntegrationError,
     IntegratorConfig,
     evolve,
-    snapshot_record,
 )
 from .gibbs import (
     ENSEMBLE_SCHEMA,
@@ -392,15 +391,20 @@ def _str_keys(value) -> bool:
     return True
 
 
-def _dumps(value, indent: int | None = None) -> str:
+def _dumps(value, indent: int | None = None, built: bool = False) -> str:
     """json.dumps of _jsonable(value), without the walk when it changes nothing.
 
     Strict json.dumps raises on non-finite floats and numpy integers, and
     non-str keys would sort before their conversion; only those take the walk.
+    built=True vouches that value was built fresh from str keys, so the keys
+    are not looked at, and that no container sits in it twice, so neither is
+    a cycle.
     """
-    if _str_keys(value):
+    if built or _str_keys(value):
         try:
-            return json.dumps(value, indent=indent, sort_keys=True, allow_nan=False)
+            return json.dumps(
+                value, indent=indent, sort_keys=True, allow_nan=False, check_circular=not built
+            )
         except (TypeError, ValueError):
             pass
     return json.dumps(_jsonable(value), indent=indent, sort_keys=True)
@@ -410,10 +414,11 @@ def _json_bytes(payload: dict) -> bytes:
     return (_dumps(payload, indent=2) + "\n").encode()
 
 
-def _jsonl_bytes(record: dict) -> bytes:
+def _jsonl_bytes(record: dict, built: bool = False) -> bytes:
     """One JSONL line. JSONL payloads are generators of these, each encoded
-    when the writer asks for it, so no more than one record is held as text."""
-    return (_dumps(record) + "\n").encode()
+    when the writer asks for it, so no more than one record is held as text.
+    built is passed on to _dumps."""
+    return (_dumps(record, built=built) + "\n").encode()
 
 
 def _csv_bytes(fieldnames: Sequence[str], rows: Sequence[dict]) -> bytes:
@@ -505,7 +510,7 @@ def _cmd_sample(config: dict, rng: RngStream, threads: int) -> CommandResult:
 
     return CommandResult(
         outputs={
-            "ensemble.jsonl": (_jsonl_bytes(record) for record in records),
+            "ensemble.jsonl": (_jsonl_bytes(record, built=True) for record in records),
             "per_mode_stats.csv": _csv_bytes(list(stats_rows[0]), stats_rows),
         },
         schemas={"ensemble": ENSEMBLE_SCHEMA, "field": FIELD_SCHEMA},
@@ -564,7 +569,7 @@ def _cmd_evolve(config: ResolvedConfig, rng: RngStream, threads: int) -> Command
     return CommandResult(
         outputs={
             "trajectory.jsonl": (
-                _jsonl_bytes(snapshot_record(t, f)) for t, f in trajectory
+                _jsonl_bytes(record, built=True) for record in trajectory.iter_records()
             )
         },
         verdicts=verdicts,

@@ -32,7 +32,6 @@ built once per key, however many threads miss the cache together.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -99,12 +98,26 @@ class _TriadTable:
     matrix is the (modes x pairs) CSR reduction holding weight / |k|^2 in row
     k; its rows take the columns in a fixed order, so the drift
     prefactor * matrix @ (s[u] * s[v]) is bitwise independent of batching.
+
+    u_idx and v_idx are read-only views of take_u and take_v, the writeable
+    arrays the drift gathers with: numpy's take copies a read-only index
+    array on every call, which at (8, 8) is 88 KB per operand. rows is the
+    number of rows whose products fit one chunk's byte budget, at least one.
     """
 
     u_idx: np.ndarray
     v_idx: np.ndarray
     weights: np.ndarray
     matrix: object  # scipy.sparse.csr_array, imported by _triad_table
+    rows: int
+    take_u: np.ndarray
+    take_v: np.ndarray
+
+
+def _read_only_view(arr: np.ndarray) -> np.ndarray:
+    view = arr.view()
+    view.flags.writeable = False
+    return view
 
 
 @_plan_cache()
@@ -146,22 +159,18 @@ def _triad_table(cutoff: Mode) -> _TriadTable:
         (weights / ksq, np.arange(weights.size, dtype=np.int64), indptr),
         shape=(m, weights.size),
     )
-    table = _TriadTable(
-        u_idx=np.concatenate(u_parts),
-        v_idx=np.concatenate(v_parts),
+    for arr in (weights, matrix.data, matrix.indices, matrix.indptr):
+        arr.flags.writeable = False
+    take_u, take_v = np.concatenate(u_parts), np.concatenate(v_parts)
+    return _TriadTable(
+        u_idx=_read_only_view(take_u),
+        v_idx=_read_only_view(take_v),
         weights=weights,
         matrix=matrix,
+        rows=max(1, _TRIAD_TERMS_BYTES // (16 * weights.size)),
+        take_u=take_u,
+        take_v=take_v,
     )
-    for arr in (
-        table.u_idx,
-        table.v_idx,
-        table.weights,
-        matrix.data,
-        matrix.indices,
-        matrix.indptr,
-    ):
-        arr.flags.writeable = False
-    return table
 
 
 def _triad_chunk(
@@ -177,17 +186,15 @@ def _triad_chunk(
     The products are formed slice by slice: the first operands of a slice of
     pairs are taken into products, the second ones into gathered, and
     multiplied into the first in place. So a chunk holds its products and one
-    slice, and numpy's take, which copies a read-only index array, copies
-    one slice of the table's indices at a time. Every chunk of a call reuses
-    both buffers, so their pages are not handed back and faulted in again on
-    every chunk. Each product is the same single multiply whatever the
-    slicing, and no multiply is of one lone product, so the slice size
-    cannot change a bit of the result.
+    slice. Every chunk of a call reuses both buffers, so their pages are not
+    handed back and faulted in again on every chunk. Each product is the same
+    single multiply whatever the slicing, and no multiply is of one lone
+    product, so the slice size cannot change a bit of the result.
     """
     block = coeffs.T
     rows = block.shape[1]
     signed = np.concatenate([block, np.conj(block)])
-    pairs = table.u_idx.size
+    pairs = table.weights.size
     terms = products[: pairs * rows].reshape(-1, rows)
     span = gathered.size // rows
     for lo in range(0, pairs, span):
@@ -198,8 +205,8 @@ def _triad_chunk(
         part = terms[lo : lo + span]
         other = gathered[: part.size].reshape(-1, rows)
         # a mode other than "raise" takes straight into out; the indices are in range
-        np.take(signed, table.u_idx[lo : lo + span], axis=0, out=part, mode="clip")
-        part *= np.take(signed, table.v_idx[lo : lo + span], axis=0, out=other, mode="clip")
+        signed.take(table.take_u[lo : lo + span], axis=0, out=part, mode="clip")
+        part *= signed.take(table.take_v[lo : lo + span], axis=0, out=other, mode="clip")
     # a real matrix times the float64 view of complex columns reduces the
     # real and imaginary parts alike, with no complex copy of the matrix
     sums = (table.matrix @ terms.view(np.float64)).view(np.complex128)
@@ -230,9 +237,11 @@ class _PseudoPlan:
     flat positions put of a (grid, n2 + 1) spectrum. Box mode k is read back
     from the full rfft2 half-spectrum at take[k], its own entry, or that of -k
     (conjugated) for the modes neg (k2 < 0). The four derivative symbols are
-    pruned to the same columns.
+    pruned to the same columns. rows is the number of rows whose real grid
+    field fits one chunk's byte budget, at least one.
     """
 
+    rows: int
     width: int
     select: np.ndarray
     put: np.ndarray
@@ -260,6 +269,7 @@ def _pseudo_plan(period: float, cutoff: Mode, m: int) -> _PseudoPlan:
     d2 = 1j * (TWO_PI / length) * m2
     lap = -((TWO_PI / length) ** 2) * (m1 * m1 + m2 * m2)
     plan = _PseudoPlan(
+        rows=max(1, _PSEUDO_FIELD_BYTES // (8 * m * m)),
         width=width,
         select=select,
         put=(signed1[select] % m) * width + signed2[select],
@@ -333,36 +343,36 @@ def drift_batch(
 ) -> np.ndarray:
     """Evaluate the drift for a whole coefficient matrix (rows are fields).
 
-    One loop runs the backend on row chunks sized by its byte budget; rows are
-    independent, so the result is bitwise independent of batching and threads.
+    One loop runs the backend on row chunks of its cached plan's rows, sized
+    by its byte budget when the plan is built; rows are independent, so the
+    result is bitwise independent of batching and threads.
     """
     cutoff = (int(cutoff[0]), int(cutoff[1]))
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     if coeffs.ndim != 2:
         raise ValueError(f"coeffs must be 2-D (batch, modes), got shape {coeffs.shape}")
     if method == TRIAD_SUM:
-        table = _triad_table(cutoff)
-        pairs = table.u_idx.size
-        rows = max(1, _TRIAD_TERMS_BYTES // (16 * pairs))
-        width = max(1, min(rows, coeffs.shape[0]))
+        plan = _triad_table(cutoff)
+        pairs = plan.weights.size
+        width = max(1, min(plan.rows, coeffs.shape[0]))
         # two pairs at least, so no slice multiplies a lone element
         span = min(pairs, max(2, _TRIAD_SLICE_BYTES // (16 * width)))
-        chunk = partial(
-            _triad_chunk,
-            table=table,
-            prefactor=TWO_PI**2 / float(period) ** 3,
-            products=np.empty(pairs * width, dtype=np.complex128),
-            gathered=np.empty(span * width, dtype=np.complex128),
+        chunk, args = _triad_chunk, (
+            plan,
+            TWO_PI**2 / float(period) ** 3,
+            np.empty(pairs * width, dtype=np.complex128),
+            np.empty(span * width, dtype=np.complex128),
         )
     elif method == PSEUDO_SPECTRAL:
         m = _check_grid(grid, cutoff)
-        rows = max(1, _PSEUDO_FIELD_BYTES // (8 * m * m))
-        chunk = partial(_pseudo_chunk, plan=_pseudo_plan(float(period), cutoff, m), m=m)
+        plan = _pseudo_plan(float(period), cutoff, m)
+        chunk, args = _pseudo_chunk, (plan, m)
     else:
         raise ValueError(f"unknown drift method {method!r}")
+    rows = plan.rows
     out = np.empty_like(coeffs)
     for lo in range(0, coeffs.shape[0], rows):
-        out[lo : lo + rows] = chunk(coeffs[lo : lo + rows])
+        out[lo : lo + rows] = chunk(coeffs[lo : lo + rows], *args)
     return out
 
 

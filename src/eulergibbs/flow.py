@@ -34,7 +34,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 import numpy as np
 
 from .drift import PSEUDO_SPECTRAL, TRIAD_SUM, drift_batch
-from .spectral import Mode, SpectralField, energy, enstrophy
+from .spectral import Mode, SpectralField, _field_record, _weighted_power, energy, enstrophy
 
 SCHEMES = ("rk4", "implicit_midpoint")
 
@@ -139,18 +139,25 @@ class Trajectory:
 
     def records(self) -> list[dict]:
         """JSON-ready snapshot records, one per sample."""
-        return [snapshot_record(t, f) for t, f in self]
+        return list(self.iter_records())
 
+    def iter_records(self) -> Iterator[dict]:
+        """The records of records(), each built from its row when it is reached.
 
-def snapshot_record(t: float, f: SpectralField) -> dict:
-    """The JSON-ready record of one trajectory snapshot (t, f)."""
-    return {
-        "schema": TRAJECTORY_SCHEMA,
-        "t": t,
-        "energy": energy(f),
-        "enstrophy": enstrophy(f),
-        "field": f.to_record(),
-    }
+        No SpectralField is made per snapshot. Each row's energy and enstrophy
+        are the per-row dots that energy() and enstrophy() take, and its field
+        record is the one to_record() gives.
+        """
+        period, cutoff = self.initial.period, self.initial.cutoff
+        rows = itertools.chain((self.initial.coeffs,), self.snapshots)
+        for t, row in zip((0.0, *self.times), rows):
+            yield {
+                "schema": TRAJECTORY_SCHEMA,
+                "t": t,
+                "energy": _weighted_power(period, cutoff, row, 1.0),
+                "enstrophy": _weighted_power(period, cutoff, row, 2.0),
+                "field": _field_record(period, cutoff, row),
+            }
 
 
 class MemberFailure(NamedTuple):
@@ -221,7 +228,7 @@ def _plan_steps(dt: float, t_final: float) -> _StepPlan:
 
 
 def _rhs(coeffs: np.ndarray, period: float, cutoff: Mode, cfg: IntegratorConfig) -> np.ndarray:
-    return drift_batch(coeffs, period, cutoff, method=cfg.drift_method, grid=cfg.grid)
+    return drift_batch(coeffs, period, cutoff, cfg.drift_method, cfg.grid)
 
 
 def _rk4_step(
@@ -256,23 +263,39 @@ def _midpoint_step(
 
     Rows iterate independently: a row stops updating the moment its own
     fixed-point increment drops below tolerance, so results are bitwise
-    independent of which rows share a batch. While every row is active the
-    block is indexed by a slice, which copies no rows.
+    independent of which rows share a batch. A row whose increment is NaN or
+    infinite can never pass the tolerance, so it stops at once, stalled.
+    While every row is pending the block is indexed by a slice, which copies
+    no rows, and an iteration that stops no row does no bookkeeping. Each
+    update is summed in place into the drift result in the order of
+    coeffs + (h/2) B(stage), and the step in the order of 2 stage - coeffs,
+    so both are bitwise those expressions.
     """
     half = 0.5 * h
-    stage = coeffs + half * _rhs(coeffs, period, cutoff, cfg)
-    active = np.ones(coeffs.shape[0], dtype=bool)
+    stage = _rhs(coeffs, period, cutoff, cfg)
+    np.multiply(half, stage, out=stage)
+    np.add(coeffs, stage, out=stage)
+    converged = np.zeros(coeffs.shape[0], dtype=bool)
+    pending = np.arange(coeffs.shape[0])
+    rows = slice(None)
     for _ in range(cfg.max_fixed_point_iters):
-        rows = slice(None) if active.all() else np.nonzero(active)[0]
-        updated = coeffs[rows] + half * _rhs(stage[rows], period, cutoff, cfg)
-        increment = np.max(np.abs(updated - stage[rows]), axis=1)
+        updated = _rhs(stage[rows], period, cutoff, cfg)
+        np.multiply(half, updated, out=updated)
+        np.add(coeffs[rows], updated, out=updated)
+        increment = np.abs(updated - stage[rows]).max(axis=1)
         stage[rows] = updated
         del updated
-        # rows holds only active rows; a NaN increment keeps its row active
-        active[rows] = ~(increment <= cfg.fixed_point_tol)
-        if not active.any():
+        if increment.min() > cfg.fixed_point_tol and increment.max() < np.inf:
+            continue
+        # some row stops: it converged, or its increment is NaN (which fails
+        # both tests above) or infinite
+        done = increment <= cfg.fixed_point_tol
+        converged[pending[done]] = True
+        pending = rows = pending[~done & (increment < np.inf)]
+        if pending.size == 0:
             break
-    return 2.0 * stage - coeffs, active
+    np.multiply(2.0, stage, out=stage)
+    return np.subtract(stage, coeffs, out=stage), ~converged
 
 
 @lru_cache(maxsize=None)
@@ -361,16 +384,21 @@ def evolve_coeffs(
             current = coeffs[start:stop].copy()
             alive = np.arange(current.shape[0])
             for index, h in enumerate(steps):
-                # a slice while every row is alive copies no rows out and back
-                rows = slice(None) if alive.size == current.shape[0] else alive
+                # while every row is alive the block is stepped whole and the
+                # stepped block replaces it, so no rows are copied out and back
+                whole = alive.size == current.shape[0]
+                live = current if whole else current[alive]
                 if cfg.scheme == "rk4":
-                    stepped = _rk4_step(current[rows], h, period, cutoff, cfg)
+                    stepped = _rk4_step(live, h, period, cutoff, cfg)
                     stalled = np.zeros(alive.size, dtype=bool)
                 else:
-                    stepped, stalled = _midpoint_step(current[rows], h, period, cutoff, cfg)
+                    stepped, stalled = _midpoint_step(live, h, period, cutoff, cfg)
                 failed = stalled | ~np.isfinite(stepped).all(axis=1)
-                current[rows] = stepped
-                del stepped  # so the stepped rows are not held while the snapshot is written
+                if whole:
+                    current = stepped
+                else:
+                    current[alive] = stepped
+                del live, stepped  # so no stale rows are held while the snapshot is written
                 if failed.any():
                     t = steps.time(index)
                     for i in np.nonzero(failed)[0]:

@@ -216,18 +216,7 @@ class SpectralField:
 
     def to_record(self) -> dict:
         """JSON-ready record: coefficients listed in lexicographic mode order."""
-        modes = mode_box(self.cutoff)
-        return {
-            "schema": FIELD_SCHEMA,
-            "period": self.period,
-            "cutoff": list(self.cutoff),
-            "coeffs": [
-                [k1, k2, re, im]
-                for (k1, k2), re, im in zip(
-                    modes, self.coeffs.real.tolist(), self.coeffs.imag.tolist()
-                )
-            ],
-        }
+        return _field_record(self.period, self.cutoff, self.coeffs)
 
     @classmethod
     def from_record(cls, record: Mapping) -> "SpectralField":
@@ -276,25 +265,41 @@ def _sobolev_weights(period: float, cutoff: Mode, order: float) -> np.ndarray:
     return weights
 
 
-def _weighted_power(f: SpectralField, order: float) -> float:
-    weights = _sobolev_weights(f.period, f.cutoff, float(order))
-    abs_sq = f.coeffs.real**2 + f.coeffs.imag**2
+def _field_record(period: float, cutoff: Mode, coeffs: np.ndarray) -> dict:
+    """The record of to_record for one coefficient row of the box of cutoff."""
+    return {
+        "schema": FIELD_SCHEMA,
+        "period": period,
+        "cutoff": list(cutoff),
+        "coeffs": [
+            [k1, k2, re, im]
+            for (k1, k2), re, im in zip(
+                mode_box(cutoff), coeffs.real.tolist(), coeffs.imag.tolist()
+            )
+        ],
+    }
+
+
+def _weighted_power(period: float, cutoff: Mode, coeffs: np.ndarray, order: float) -> float:
+    """sum_k w_k |c_k|^2 of one coefficient row, with the order-beta Sobolev weights."""
+    weights = _sobolev_weights(period, cutoff, float(order))
+    abs_sq = coeffs.real**2 + coeffs.imag**2
     return float(np.dot(weights, abs_sq))
 
 
 def sobolev_norm(f: SpectralField, order: SobolevOrder) -> float:
     """Homogeneous Sobolev norm of order beta over the stored positive modes."""
-    return math.sqrt(_weighted_power(f, order))
+    return math.sqrt(_weighted_power(f.period, f.cutoff, f.coeffs, order))
 
 
 def energy(f: SpectralField) -> float:
     """Kinetic energy (1/2) integral |grad phi|^2, equal to sobolev_norm(f, 1)^2."""
-    return _weighted_power(f, 1.0)
+    return _weighted_power(f.period, f.cutoff, f.coeffs, 1.0)
 
 
 def enstrophy(f: SpectralField) -> float:
     """Enstrophy (1/2) integral |laplacian phi|^2, equal to sobolev_norm(f, 2)^2."""
-    return _weighted_power(f, 2.0)
+    return _weighted_power(f.period, f.cutoff, f.coeffs, 2.0)
 
 
 @dataclass(frozen=True)

@@ -274,6 +274,10 @@ class TestJsonOutput:
         assert b"null" in _jsonl_bytes(self.ROWS[0])
         assert _jsonl_bytes(self.ROWS[3]) == b'{"10": "ten", "9": "nine"}\n'
 
+    def test_a_built_record_skips_the_key_walk_for_the_same_bytes(self):
+        for row in (self.ROWS[0], self.ROWS[1], self.ROWS[2], self.ROWS[6]):
+            assert _jsonl_bytes(row, built=True) == _jsonl_bytes(row)
+
 
 class TestStreamingWriter:
     PAYLOAD = b"".join(f'{{"index": {i}}}\n'.encode() for i in range(5))

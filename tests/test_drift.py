@@ -447,9 +447,28 @@ class TestDriftMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the second slice covers the copy numpy's take makes of a read-only
-        # index slice (half a slice here), the signed-mode vectors and the sums
+        # one slice holds the second operands; the other is headroom for the
+        # signed-mode vectors and the sums, since the take indices are
+        # writeable and numpy copies none of them
         assert peak <= one_row + 2 * _TRIAD_SLICE_BYTES + out.nbytes
+
+    def test_one_row_call_copies_no_index_array(self, rng):
+        # numpy's take copies a read-only index array on every call, 88 KB per
+        # operand at (8, 8); a one-row call holds its products, one slice of
+        # second operands as large, and a few KB of signed modes and sums
+        cutoff = (8, 8)
+        coeffs = random_rows(rng, cutoff, 1)
+        drift_batch(coeffs, 1.0, cutoff)
+        table = _triad_table(cutoff)
+        operands = 2 * 16 * table.u_idx.size
+        tracemalloc.start()
+        try:
+            drift_batch(coeffs, 1.0, cutoff)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.u_idx.nbytes > 64 * 1024
+        assert peak <= operands + 32 * 1024
 
 
 def triad_reference(coeffs, period, cutoff):

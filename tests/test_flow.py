@@ -273,6 +273,22 @@ class TestEvolve:
             rebuilt = SpectralField.from_record(r["field"])
             assert rebuilt.cutoff == f.cutoff
 
+    def test_records_are_built_from_the_rows_as_from_the_fields(self, rng):
+        f = decaying_field(rng, TWO_PI, (3, 2))
+        out = evolve(f, IntegratorConfig(scheme="rk4", dt=1e-2, t_final=0.03, snapshot_stride=1))
+        expected = [
+            {
+                "schema": "trajectory.v1",
+                "t": t,
+                "energy": energy(g),
+                "enstrophy": enstrophy(g),
+                "field": g.to_record(),
+            }
+            for t, g in out
+        ]
+        assert len(expected) == 4
+        assert out.records() == expected
+
 
 class TestEnsembleEvolution:
     def test_batch_matches_single(self, rng):
@@ -326,6 +342,29 @@ class TestEnsembleEvolution:
             out = evolve_coeffs(coeffs, TWO_PI, (3, 3), cfg)
         cause = "implicit midpoint failed to reach tol=1e-12 within 100 iterations"
         assert out.failures == (MemberFailure(1, 0, 0.05, cause),)
+
+    def test_a_row_with_a_nan_increment_stops_iterating_at_once(self, rng, monkeypatch):
+        # a NaN increment can never pass the tolerance, so the NaN row takes
+        # its step's first drift and one fixed-point drift, then stops
+        coeffs = np.stack([decaying_field(rng, TWO_PI, (3, 3)).coeffs for _ in range(3)])
+        coeffs[1, 2] = complex(np.nan, 0.0)
+        cfg = IntegratorConfig(scheme="implicit_midpoint", dt=0.01, t_final=0.02)
+        rows = []
+
+        def counted(c, *args, **kwargs):
+            rows.append(c.shape[0])
+            return drift_batch(c, *args, **kwargs)
+
+        monkeypatch.setattr(flow, "drift_batch", counted)
+        finite = evolve_coeffs(coeffs[[0, 2]], TWO_PI, (3, 3), cfg)
+        finite_rows, rows[:] = sum(rows), []
+        with np.errstate(invalid="ignore"):
+            out = evolve_coeffs(coeffs, TWO_PI, (3, 3), cfg)
+        assert sum(rows) == finite_rows + 2
+        cause = "implicit midpoint failed to reach tol=1e-12 within 100 iterations"
+        assert out.failures == (MemberFailure(1, 0, 0.01, cause),)
+        assert np.isnan(out.coeffs[1]).all()
+        assert np.array_equal(out.coeffs[[0, 2]], finite.coeffs)
 
     # the rows fail on the pool's threads, where np.errstate does not reach
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -528,8 +567,8 @@ class TestMarchBlocks:
         finally:
             tracemalloc.stop()
         # the block's rows, the accumulator, the stage and one drift result,
-        # plus the drift's own buffers: a triad chunk of products, a slice and
-        # the index copy numpy's take makes (the collocation needs less); four
+        # plus the drift's own buffers: a triad chunk of products and a slice,
+        # with a second slice of headroom (the collocation needs less); four
         # drift results and the temporaries of their sum need about twice that
         drift_buffers = _TRIAD_TERMS_BYTES + 2 * _TRIAD_SLICE_BYTES
         assert peak <= out.snapshots.nbytes + 4 * coeffs.nbytes + drift_buffers

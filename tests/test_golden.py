@@ -99,6 +99,20 @@ CASES = {
         (1,),
     ),
     "evolve-zero-horizon": (["evolve", "--set", "t_final=0"], (1,)),
+    # the one-row implicit-midpoint triad march at (8, 8), every step written, round trip
+    "evolve-8x8-midpoint-triad-every-step": (
+        [
+            "evolve",
+            "--set", "cutoff=8,8",
+            "--set", "scheme=implicit_midpoint",
+            "--set", "drift_method=triad_sum",
+            "--set", "dt=0.001",
+            "--set", "t_final=0.05",
+            "--set", "snapshot_stride=1",
+            "--set", "round_trip=true",
+        ],
+        (1,),
+    ),
     # 2 of the 100 members stall in the fixed-point solve, within failure_tol
     "invariance-partial-failure": (
         [
