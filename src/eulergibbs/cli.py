@@ -269,7 +269,9 @@ CONFIG_SCHEMAS: dict[str, dict[str, Option]] = {
     "cauchy": {
         "gamma": _GIBBS_KEYS["gamma"],
         "order": Option(_number(below=1.0), -1.5, "Sobolev order of the local metric (< 1)"),
-        "levels": Option(_list(_integer(1)), (2, 3, 4), "dyadic levels n to compare"),
+        "levels": Option(
+            _list(_integer(1), distinct=True), (2, 3, 4), "distinct dyadic levels n to compare"
+        ),
         "ensemble": Option(_integer(2), 500, "coupled pairs per level"),
         "modes_per_unit": Option(_integer(1), 1, "resolved modes per unit length"),
         "level_max": Option(_integer(1), 4, "largest metric window"),

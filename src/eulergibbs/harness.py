@@ -20,7 +20,7 @@ row blocks and never change any reported number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, is_dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,24 +57,36 @@ STREAM_CONTINUITY = 5
 
 DEFAULT_MOMENT_CUTOFFS = ((4, 4), (6, 6), (8, 8), (10, 10), (12, 12))
 
-INVARIANCE_SCHEMA = "report.invariance.v1"
-MOMENTS_SCHEMA = "report.moments.v1"
-CAUCHY_SCHEMA = "report.cauchy.v1"
-CONTINUITY_SCHEMA = "report.continuity.v1"
+INVARIANCE_SCHEMA = "report.invariance.v2"
+MOMENTS_SCHEMA = "report.moments.v2"
+CAUCHY_SCHEMA = "report.cauchy.v2"
+CONTINUITY_SCHEMA = "report.continuity.v2"
 
 
 def _child(rng: RngStream, offset: int) -> RngStream:
     return rng.substream((rng.stream_id << 8) | offset)
 
 
-def _provenance(rng: RngStream) -> dict:
-    """The manifest entries that tie a report to its random stream and code."""
-    return {
-        "master_seed": rng.master_seed,
-        "stream_id": rng.stream_id,
-        "generator": GENERATOR_NAME,
-        "version": VERSION,
-    }
+def _inputs(schema: str, arguments: dict) -> dict:
+    """A report's manifest: its schema and every argument of the call but
+    threads, which never changes a result.
+
+    Dataclass arguments are recorded field by field, the rng with the
+    generator and code version that turn it into draws, and observables by
+    label, because a band's math.inf end would serialize as null.
+    """
+    manifest = {"schema": schema}
+    for name, value in arguments.items():
+        if name == "threads":
+            continue
+        if name == "rng":
+            value = {**asdict(value), "generator": GENERATOR_NAME, "version": VERSION}
+        elif name == "observables":
+            value = [spec.label for spec in value]
+        elif is_dataclass(value):
+            value = asdict(value)
+        manifest[name] = value
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +355,15 @@ def run_invariance(
     at (4,4), against 1 and 0 of 20 with 400 (alpha 0.01), likely because
     two-sample KS p-values at 100 members lie on a coarse lattice.
     Aborts (IntegrationError) if more than failure_tol of the members fail
-    to integrate.
+    to integrate, or if none survives.
     """
+    # only the final rows are read, so a snapshot stride would only cost memory
+    cfg = replace(cfg, snapshot_stride=0)
+    observables = tuple(observables)
+    manifest = _inputs(INVARIANCE_SCHEMA, locals())
     ensemble_size = int(ensemble_size)
     if ensemble_size < 100:
         raise ValueError(f"ensemble_size must be >= 100 for stable KS levels, got {ensemble_size}")
-    observables = tuple(observables)
     if not observables:
         raise ValueError("need at least one observable")
     # a level or factor at or below zero passes its verdict by construction
@@ -361,12 +376,10 @@ def run_invariance(
         raise ValueError(f"failure_tol must be >= 0, got {failure_tol!r}")
 
     initial = sample_coeff_matrix(p, _child(rng, STREAM_EVOLVED), ensemble_size)
-    # only the final rows are read, so a snapshot stride would only cost memory
-    evolution = evolve_coeffs(
-        initial, p.period, p.cutoff, replace(cfg, snapshot_stride=0), threads=threads
-    )
+    evolution = evolve_coeffs(initial, p.period, p.cutoff, cfg, threads=threads)
     failed = evolution.failed_members
-    if len(failed) > failure_tol * ensemble_size:
+    # with no survivor there is nothing to compare, whatever failure_tol allows
+    if len(failed) > failure_tol * ensemble_size or len(failed) == ensemble_size:
         first = min(evolution.failures, key=lambda failure: failure.step)
         raise IntegrationError(
             f"{len(failed)} of {ensemble_size} members failed to integrate "
@@ -434,31 +447,13 @@ def run_invariance(
     if cfg.t_final == 0.0 and marginal_p:
         verdicts["null_p_uniformity"] = chi_square_uniform(marginal_p).p_value >= alpha
 
-    manifest = {
-        "schema": INVARIANCE_SCHEMA,
-        "params": {"gamma": p.gamma, "period": p.period, "cutoff": list(p.cutoff)},
-        "integrator": {
-            "scheme": cfg.scheme,
-            "dt": cfg.dt,
-            "t_final": cfg.t_final,
-            "drift_method": cfg.drift_method,
-            "fixed_point_tol": cfg.fixed_point_tol,
-        },
-        **_provenance(rng),
-        "thresholds": {
-            "alpha": alpha,
-            "pass_fraction": pass_fraction,
-            "mean_se_factor": mean_se_factor,
-            "failure_tol": failure_tol,
-        },
-    }
     return EnsembleReport(
         observables=tuple(rows),
         ensemble_size=ensemble_size,
         surviving=surviving,
         failed_members=failed,
-        energy_drift_max=float(energy_drift.max()) if surviving else 0.0,
-        enstrophy_drift_max=float(enstrophy_drift.max()) if surviving else 0.0,
+        energy_drift_max=float(energy_drift.max()),
+        enstrophy_drift_max=float(enstrophy_drift.max()),
         marginal_pass_rate=pass_rate,
         verdicts=verdicts,
         manifest=manifest,
@@ -532,6 +527,7 @@ def moment_scan(
     verdict: "stable" (tail change below stability_tol), "divergent"
     (strictly increasing), "none", or "auto" (stable iff beta < -1).
     """
+    manifest = _inputs(MOMENTS_SCHEMA, locals())
     ensemble_size = int(ensemble_size)
     if ensemble_size < 2:
         raise ValueError("ensemble_size must be >= 2")
@@ -602,17 +598,6 @@ def moment_scan(
         elif expected == "divergent":
             verdicts[f"divergent[{label}]"] = increasing
 
-    manifest = {
-        "schema": MOMENTS_SCHEMA,
-        "params": {"gamma": p.gamma, "period": p.period},
-        "cutoffs": [list(c) for c in ladder],
-        "orders": orders,
-        "exponents": exponents,
-        "ensemble_size": ensemble_size,
-        "drift_method": drift_method,
-        "stability_tol": stability_tol,
-        **_provenance(rng),
-    }
     return MomentReport(
         rows=tuple(rows),
         series=tuple(series),
@@ -670,6 +655,7 @@ def cauchy_scan(
     expect "decreasing" makes strictly decreasing E d^2 the verdict; "none"
     reports without one.
     """
+    manifest = _inputs(CAUCHY_SCHEMA, locals())
     order = float(order)
     if not order < 1.0:
         raise ValueError(f"the local metric scan needs order < 1, got {order}")
@@ -683,6 +669,12 @@ def cauchy_scan(
         raise ValueError("levels must be >= 1 so the coarse period is at least 2")
     if expect not in ("decreasing", "none"):
         raise ValueError(f"expect must be decreasing or none, got {expect!r}")
+    # a repeated level ties itself, and a lone level has nothing to decrease
+    # from, so either fixes the verdict in advance
+    if len(set(levels)) < len(levels):
+        raise ValueError(f"levels must be pairwise distinct, got {levels}")
+    if expect == "decreasing" and len(levels) < 2:
+        raise ValueError(f"the decreasing verdict needs at least two levels, got {levels}")
     stream = _child(rng, STREAM_DYADIC)
 
     rows: list[CauchyRow] = []
@@ -720,17 +712,6 @@ def cauchy_scan(
         earlier.mean_sq_distance > later.mean_sq_distance
         for earlier, later in zip(by_level, by_level[1:])
     )
-    manifest = {
-        "schema": CAUCHY_SCHEMA,
-        "gamma": gamma,
-        "order": order,
-        "levels": levels,
-        "ensemble_size": ensemble_size,
-        "modes_per_unit": modes_per_unit,
-        "level_max": level_max,
-        "points_per_unit": points_per_unit,
-        **_provenance(rng),
-    }
     return CauchyReport(
         rows=tuple(rows),
         order=order,
@@ -795,6 +776,9 @@ def continuity_probe(
     the verdict checks the two smallest positive deltas agree within
     ratio_tol.
     """
+    # only the final rows are read, so a snapshot stride would only cost memory
+    cfg = replace(cfg, snapshot_stride=0)
+    manifest = _inputs(CONTINUITY_SCHEMA, locals())
     ensemble_size = int(ensemble_size)
     if ensemble_size < 2:
         raise ValueError("ensemble_size must be >= 2")
@@ -805,8 +789,6 @@ def continuity_probe(
     if len(set(delta_list)) < len(delta_list):
         raise ValueError(f"deltas must be pairwise distinct, got {delta_list}")
     stream = _child(rng, STREAM_CONTINUITY)
-    # only the final rows are read, so a snapshot stride would only cost memory
-    cfg = replace(cfg, snapshot_stride=0)
 
     base = sample_coeff_matrix(p, stream, ensemble_size)
     base_evolution = evolve_coeffs(base, p.period, p.cutoff, cfg, threads=threads)
@@ -861,24 +843,6 @@ def continuity_probe(
         for a, b in zip(ordered, ordered[1:])
     )
 
-    manifest = {
-        "schema": CONTINUITY_SCHEMA,
-        "params": {"gamma": p.gamma, "period": p.period, "cutoff": list(p.cutoff)},
-        "integrator": {
-            "scheme": cfg.scheme,
-            "dt": cfg.dt,
-            "t_final": cfg.t_final,
-            "drift_method": cfg.drift_method,
-        },
-        "deltas": delta_list,
-        "order": order,
-        "ensemble_size": ensemble_size,
-        "level_max": level_max,
-        "points_per_unit": points_per_unit,
-        "ratio_tol": ratio_tol,
-        "probe_direction": "gibbs-sigma-profile-normalized",
-        **_provenance(rng),
-    }
     return ContinuityReport(
         rows=tuple(rows),
         order=order,

@@ -196,6 +196,17 @@ class TestConfigGrammar:
                 False,
                 id="continuity-repeated-delta",
             ),
+            # a repeated level ties itself, and one level cannot strictly decrease
+            pytest.param(
+                ["cauchy", "--set", "levels=2,2", "--set", "ensemble=4"],
+                False,
+                id="cauchy-repeated-level",
+            ),
+            pytest.param(
+                ["cauchy", "--set", "levels=3", "--set", "ensemble=4"],
+                True,
+                id="cauchy-one-level",
+            ),
         ],
     )
     def test_config_failure_writes_a_manifest(self, tmp_path, capsys, argv, resolved):
@@ -682,8 +693,33 @@ class TestExperimentCommands:
         assert manifest["verdicts"]["null_p_uniformity"] is True
         assert manifest["verdicts"]["marginal_pass_rate"] is True
         report = read_json(out / "report.json")
-        assert report["schema"] == "report.invariance.v1"
+        assert report["schema"] == "report.invariance.v2"
         assert len(report["observables"]) == len(read_csv_rows(out / "summary.csv"))
+
+    def test_invariance_with_no_survivor_exits_numeric(self, tmp_path, capsys):
+        # failure_tol = 1 tolerates every failure, but no member is left to compare
+        out = tmp_path / "out"
+        code = main(
+            [
+                "invariance", "--seed", "1", "--out", str(out),
+                "--set", "ensemble=100",
+                "--set", "scheme=implicit_midpoint",
+                "--set", "max_fixed_point_iters=1",
+                "--set", "dt=0.01",
+                "--set", "t_final=0.02",
+                "--set", "failure_tol=1",
+            ]
+        )
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numeric failure: 100 of 100 members failed to integrate" in err
+        assert "Traceback" not in err
+        manifest = read_json(out / "manifest.json")
+        assert "failed first" in manifest["error"]
+        assert "at step 0" in manifest["error"]
+        assert manifest["passed"] is False
+        assert manifest["outputs"] == []
+        assert [path.name for path in out.iterdir()] == ["manifest.json"]
 
     def test_moments_negative_control_fails_with_signature(self, tmp_path):
         out = tmp_path / "out"

@@ -2,6 +2,7 @@
 and the four Monte Carlo experiments."""
 
 import importlib
+import inspect
 import json
 import math
 import time
@@ -15,7 +16,8 @@ from scipy.special import kolmogorov as scipy_kolmogorov
 from scipy.stats import chi2 as scipy_chi2
 from scipy.stats import ks_2samp, kstest
 
-from eulergibbs.drift import TRIAD_SUM
+from eulergibbs.cli import _json_bytes
+from eulergibbs.drift import PSEUDO_SPECTRAL, TRIAD_SUM
 from eulergibbs.flow import IntegrationError, IntegratorConfig, map_row_blocks
 from eulergibbs.gibbs import GibbsParams, RngStream, coupled_dyadic_matrices
 from eulergibbs.harness import (
@@ -369,7 +371,7 @@ class TestRunInvariance:
         first = run_invariance(*args)
         second = run_invariance(*args)
         assert json.dumps(asdict(first)) == json.dumps(asdict(second))
-        assert first.manifest["generator"].startswith("philox")
+        assert first.manifest["rng"]["generator"].startswith("philox")
 
     def test_mass_integration_failure_aborts(self):
         cfg = IntegratorConfig(
@@ -399,6 +401,17 @@ class TestRunInvariance:
             "member 0 failed first: implicit midpoint failed to reach tol=1e-12 "
             "within 3 iterations at step 0 (t = 0.5)"
         )
+
+    def test_no_survivor_aborts_whatever_failure_tol_allows(self):
+        # failure_tol = 1 tolerates every failure, but leaves no member to compare
+        cfg = IntegratorConfig(
+            scheme="implicit_midpoint", dt=0.5, t_final=5.0, max_fixed_point_iters=3
+        )
+        p = GibbsParams(gamma=1e-4, period=TWO_PI, cutoff=(3, 3))
+        with pytest.raises(IntegrationError, match="100 of 100 members failed") as caught:
+            run_invariance(p, cfg, default_observables((3, 3)), 100, RngStream(1), failure_tol=1.0)
+        assert caught.value.step == 0
+        assert str(caught.value).endswith("at step 0 (t = 0.5)")
 
     def test_a_snapshot_stride_changes_no_report_byte(self):
         cfg = IntegratorConfig(scheme="rk4", dt=0.01, t_final=0.1)
@@ -644,6 +657,21 @@ class TestCauchyScan:
         with pytest.raises(ValueError, match="expect"):
             cauchy_scan([1, 2], -1.5, 6, RngStream(1), expect="increasing")
 
+    @pytest.mark.parametrize("levels", [[2, 2], [1, 2, 1]])
+    def test_repeated_levels_are_rejected(self, levels):
+        # a level compared with itself ties, so the decreasing verdict fails by construction
+        with pytest.raises(ValueError, match="levels must be pairwise distinct"):
+            cauchy_scan(levels, -1.5, 4, RngStream(1), expect="none")
+
+    def test_the_decreasing_verdict_needs_two_levels(self):
+        with pytest.raises(ValueError, match="at least two levels"):
+            cauchy_scan([3], -1.5, 4, RngStream(1))
+        report = cauchy_scan(
+            [1], -1.5, 4, RngStream(1), expect="none", level_max=2, points_per_unit=8
+        )
+        assert [row.level for row in report.rows] == [1]
+        assert report.verdicts == {}
+
     def test_verdicts_follow_the_expectation(self):
         args = ([1, 2], -1.5, 6, RngStream(12, 4))
         kwargs = {"level_max": 2, "points_per_unit": 8}
@@ -735,3 +763,48 @@ class TestContinuityProbe:
         cfg = IntegratorConfig(scheme="rk4", dt=0.05, t_final=0.1)
         with pytest.raises(ValueError, match="deltas must be pairwise distinct"):
             continuity_probe(self.params(), cfg, deltas, 8, RngStream(1))
+
+
+@pytest.fixture(scope="module")
+def small_reports():
+    """One small run of each experiment; run_invariance on criterion 07's backend."""
+    p = GibbsParams(gamma=1.0, period=TWO_PI, cutoff=(2, 2))
+    cfg = IntegratorConfig(scheme="rk4", dt=0.05, t_final=0.1)
+    metric = {"level_max": 2, "points_per_unit": 8}
+    return {
+        run_invariance: run_invariance(
+            p,
+            replace(cfg, drift_method=PSEUDO_SPECTRAL, grid=24),
+            default_observables(p.cutoff),
+            100,
+            RngStream(1),
+        ),
+        moment_scan: moment_scan(
+            p, [-1.5], [1.0], 4, RngStream(1), cutoffs=((2, 2), (3, 3)), drift_method=TRIAD_SUM
+        ),
+        cauchy_scan: cauchy_scan([1, 2], -1.5, 4, RngStream(1), **metric),
+        continuity_probe: continuity_probe(p, cfg, [1e-2, 1e-1], 4, RngStream(1), **metric),
+    }
+
+
+@pytest.mark.parametrize(
+    "function",
+    [run_invariance, moment_scan, cauchy_scan, continuity_probe],
+    ids=lambda function: function.__name__,
+)
+def test_every_report_records_every_argument_but_threads(small_reports, function):
+    # like the CLI's config-key guard: a parameter added to an experiment lands
+    # in its report, and threads, which never changes a result, does not
+    manifest = small_reports[function].manifest
+    parameters = set(inspect.signature(function).parameters) - {"threads"}
+    assert set(manifest) == parameters | {"schema"}
+    assert _json_bytes(manifest)
+
+
+def test_reports_record_the_config_as_run_and_the_expectation(small_reports):
+    cfg = small_reports[run_invariance].manifest["cfg"]
+    assert cfg["drift_method"] == PSEUDO_SPECTRAL
+    assert cfg["grid"] == 24
+    assert cfg["max_fixed_point_iters"] == IntegratorConfig().max_fixed_point_iters
+    assert small_reports[moment_scan].manifest["expect"] == "auto"
+    assert small_reports[cauchy_scan].manifest["expect"] == "decreasing"
