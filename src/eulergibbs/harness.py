@@ -28,7 +28,13 @@ from scipy.special import gammaincc
 
 from ._meta import VERSION
 from .drift import PSEUDO_SPECTRAL, drift_batch
-from .flow import IntegrationError, IntegratorConfig, evolve_coeffs, map_row_blocks
+from .flow import (
+    IntegrationError,
+    IntegratorConfig,
+    MemberFailure,
+    evolve_coeffs,
+    map_row_blocks,
+)
 from .gibbs import (
     GENERATOR_NAME,
     GibbsParams,
@@ -328,6 +334,17 @@ def _column_stats(values: np.ndarray) -> tuple[float, float, float]:
     return mean, variance, math.sqrt(variance / values.size) if values.size else 0.0
 
 
+def _integration_abort(summary: str, failures: Sequence[MemberFailure]) -> IntegrationError:
+    """The error that aborts a run: summary, then the member that failed at
+    the earliest step and why; members are all the failed ones, in order."""
+    first = min(failures, key=lambda failure: failure.step)
+    return IntegrationError(
+        f"{summary}; member {first.member} failed first: {first.message}",
+        step=first.step,
+        members=sorted({failure.member for failure in failures}),
+    )
+
+
 def run_invariance(
     p: GibbsParams,
     cfg: IntegratorConfig,
@@ -380,13 +397,10 @@ def run_invariance(
     failed = evolution.failed_members
     # with no survivor there is nothing to compare, whatever failure_tol allows
     if len(failed) > failure_tol * ensemble_size or len(failed) == ensemble_size:
-        first = min(evolution.failures, key=lambda failure: failure.step)
-        raise IntegrationError(
+        raise _integration_abort(
             f"{len(failed)} of {ensemble_size} members failed to integrate "
-            f"(tolerated fraction {failure_tol}); member {first.member} failed first: "
-            f"{first.message}",
-            step=first.step,
-            members=failed,
+            f"(tolerated fraction {failure_tol})",
+            evolution.failures,
         )
     post = evolution.coeffs
     del evolution  # so the full rows are freed once the survivors are copied out
@@ -774,7 +788,8 @@ def continuity_probe(
     compared with the (deterministic) input distance. A flow continuous in
     the local topology shows median ratios that stabilize as delta shrinks;
     the verdict checks the two smallest positive deltas agree within
-    ratio_tol.
+    ratio_tol. A member that fails in either evolution is left out of its
+    delta's row; aborts (IntegrationError) if no member is left.
     """
     # only the final rows are read, so a snapshot stride would only cost memory
     cfg = replace(cfg, snapshot_stride=0)
@@ -801,6 +816,12 @@ def continuity_probe(
         pert_evolution = evolve_coeffs(perturbed, p.period, p.cutoff, cfg, threads=threads)
         bad = set(base_evolution.failed_members) | set(pert_evolution.failed_members)
         keep = [i for i in range(ensemble_size) if i not in bad]
+        if not keep:
+            raise _integration_abort(
+                f"all {ensemble_size} members failed to integrate in the base or the "
+                f"delta = {delta:g} evolution",
+                base_evolution.failures + pert_evolution.failures,
+            )
         input_distance = local_distance(
             zero.with_coeffs(delta * direction), zero, order, level_max,
             points_per_unit=points_per_unit,
@@ -817,7 +838,7 @@ def continuity_probe(
             return out
 
         outputs = np.concatenate(map_row_blocks(output_distances, len(keep), threads))
-        median_out = float(np.median(outputs)) if outputs.size else math.nan
+        median_out = float(np.median(outputs))
         ratio = median_out / input_distance if input_distance > 0.0 else math.nan
         rows.append(
             ContinuityRow(

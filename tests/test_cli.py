@@ -721,6 +721,29 @@ class TestExperimentCommands:
         assert manifest["outputs"] == []
         assert [path.name for path in out.iterdir()] == ["manifest.json"]
 
+    def test_continuity_with_no_survivor_exits_numeric(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(
+            [
+                "continuity", "--seed", "1", "--out", str(out),
+                "--set", "ensemble=8",
+                "--set", "scheme=implicit_midpoint",
+                "--set", "max_fixed_point_iters=1",
+                "--set", "dt=0.01",
+                "--set", "t_final=0.02",
+            ]
+        )
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numeric failure: all 8 members failed to integrate" in err
+        assert "Traceback" not in err
+        manifest = read_json(out / "manifest.json")
+        assert "failed first" in manifest["error"]
+        assert "at step 0" in manifest["error"]
+        assert manifest["passed"] is False
+        assert manifest["outputs"] == []
+        assert [path.name for path in out.iterdir()] == ["manifest.json"]
+
     def test_moments_negative_control_fails_with_signature(self, tmp_path):
         out = tmp_path / "out"
         code = main(

@@ -593,3 +593,71 @@ class TestMarchBlocks:
                 tracemalloc.stop()
             assert out.failed_members == ()
             assert peak <= out.coeffs.nbytes + 12 * flow._MARCH_BLOCK_BYTES
+
+
+class TestMidpointStart:
+    """Each midpoint step after the first starts from the block's earlier rates,
+    and a row that stalls from that start is solved again from the Euler guess."""
+
+    # (3,3) Gibbs members at dt 0.1 under a tight cap, where some members stall
+    P33 = GibbsParams(1.0, TWO_PI, (3, 3))
+    TIGHT = IntegratorConfig(
+        scheme="implicit_midpoint", dt=0.1, t_final=0.5, max_fixed_point_iters=12,
+        snapshot_stride=1,
+    )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_rows_stay_independent_with_failures(self, monkeypatch):
+        coeffs = sample_coeff_matrix(self.P33, RngStream(11), 130)
+        whole = evolve_coeffs(coeffs, TWO_PI, (3, 3), self.TIGHT)
+        assert len(whole.failures) >= 2
+        for threads in (2, 3):
+            out = evolve_coeffs(coeffs, TWO_PI, (3, 3), self.TIGHT, threads=threads)
+            assert out.failures == whole.failures
+            assert np.array_equal(out.snapshots, whole.snapshots, equal_nan=True)
+        monkeypatch.setattr(flow, "_MARCH_BLOCK_BYTES", 5 * coeffs[0].nbytes)
+        for threads in (1, 3):
+            out = evolve_coeffs(coeffs, TWO_PI, (3, 3), self.TIGHT, threads=threads)
+            assert out.failures == whole.failures
+            assert np.array_equal(out.snapshots, whole.snapshots, equal_nan=True)
+        for i, row in enumerate(coeffs):
+            alone = evolve_coeffs(row[None, :], TWO_PI, (3, 3), self.TIGHT)
+            expected = tuple(f._replace(member=0) for f in whole.failures if f.member == i)
+            assert alone.failures == expected
+            assert np.array_equal(alone.snapshots[:, 0], whole.snapshots[:, i], equal_nan=True)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_absurd_start_gives_the_euler_guess_result(self):
+        coeffs = sample_coeff_matrix(self.P33, RngStream(11), 130)
+        h, cfg = self.TIGHT.dt, self.TIGHT
+        euler, stalled = flow._midpoint_step(coeffs, h, TWO_PI, (3, 3), cfg)
+        assert stalled.any() and not stalled.all()
+        absurd = coeffs + (0.5 * h) * 1e6 * (euler - coeffs) / h
+        out, out_stalled = flow._midpoint_step(coeffs, h, TWO_PI, (3, 3), cfg, absurd)
+        assert np.array_equal(out, euler, equal_nan=True)
+        assert np.array_equal(out_stalled, stalled)
+
+    def test_a_triad_round_trip_saves_drift_calls(self, monkeypatch):
+        # the Euler guess costs 5 calls a step here: 4,000 for the 800 steps
+        p = GibbsParams(1.0, TWO_PI, (8, 8))
+        f = SpectralField(p.period, p.cutoff, sample_coeff_matrix(p, RngStream(5), 1)[0])
+        cfg = IntegratorConfig(scheme="implicit_midpoint", dt=1e-3, t_final=0.4)
+        calls = []
+
+        def counted(c, *args, **kwargs):
+            calls.append(c.shape[0])
+            return drift_batch(c, *args, **kwargs)
+
+        monkeypatch.setattr(flow, "drift_batch", counted)
+        there = evolve(f, cfg).final
+        back = evolve(there, replace(cfg, t_final=-0.4)).final
+        assert len(calls) <= 2450
+        assert sobolev_norm(back - f, 0.0) <= 1e-10 * sobolev_norm(f, 0.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_the_fallback_stalls_no_more_members_than_the_euler_guess(self):
+        # the Euler guess alone stalls 11 of these 400 members; extrapolated
+        # starts without the fallback stalled 19
+        coeffs = sample_coeff_matrix(self.P33, RngStream(11), 400)
+        out = evolve_coeffs(coeffs, TWO_PI, (3, 3), replace(self.TIGHT, snapshot_stride=0))
+        assert 0 < len(out.failures) <= 11

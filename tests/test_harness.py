@@ -757,6 +757,22 @@ class TestContinuityProbe:
         with pytest.raises(ValueError, match="ensemble_size"):
             continuity_probe(self.params(), cfg, [0.1], 1, RngStream(1))
 
+    def test_no_survivor_aborts_at_the_earliest_failed_step(self):
+        # every member stalls at step 0 of the base evolution, so no delta keeps one
+        cfg = IntegratorConfig(
+            scheme="implicit_midpoint", dt=0.5, t_final=5.0, max_fixed_point_iters=1
+        )
+        with pytest.raises(IntegrationError, match="all 4 members failed to integrate") as caught:
+            continuity_probe(
+                self.params(), cfg, [1e-2, 1e-1], 4, RngStream(1), level_max=2, points_per_unit=8
+            )
+        assert caught.value.step == 0
+        assert caught.value.members == (0, 1, 2, 3)
+        assert str(caught.value).endswith(
+            "member 0 failed first: implicit midpoint failed to reach tol=1e-12 "
+            "within 1 iterations at step 0 (t = 0.5)"
+        )
+
     @pytest.mark.parametrize("deltas", [[0.1, 0.1], [0.0, -0.0, 0.1], [0.1, 0.01, 0.1]])
     def test_repeated_deltas_are_rejected(self, deltas):
         # the two smallest positive deltas would be one, so their ratios agree by construction
