@@ -595,6 +595,7 @@ def _cmd_invariance(config: dict, rng: RngStream, threads: int) -> CommandResult
     measurements = {
         "marginal_pass_rate": report.marginal_pass_rate,
         "surviving": report.surviving,
+        "failed_members": list(report.failed_members),
         "energy_drift_max": report.energy_drift_max,
         "enstrophy_drift_max": report.enstrophy_drift_max,
     }

@@ -9,11 +9,12 @@ experiments where conservation drift must be negligible.
 
 The first midpoint step of a row starts its iteration from the explicit-Euler
 guess phi + (dt/2) B(phi). Later steps start from the row's earlier rates
-r_n = (phi_{n+1} - phi_n) / dt, which cost no drift call: the second step
-from phi + (dt/2) r_1, each later one from phi + (dt/2)(2 r_n - r_{n-1}). A
-row that stalls from such a start is solved again from the Euler guess with
-the full iteration budget, because an extrapolated start alone stalls rows
-that the Euler guess solves under a tight iteration cap.
+r_n = (phi_{n+1} - phi_n) / dt, which cost no drift call: phi + (dt/2) r,
+with r the polynomial through the last min(_START_RATES, steps taken) rates
+extrapolated one step on (r_1 for the second step, 2 r_n - r_{n-1} for the
+third). A row that stalls from such a start is solved again from the Euler
+guess with the full iteration budget, because an extrapolated start alone
+stalls rows that the Euler guess solves under a tight iteration cap.
 
 Negative t_final integrates backwards (the drift is autonomous, so this is
 sign-flipped stepping). Trajectories record snapshots plus the relative
@@ -24,8 +25,8 @@ among threads and steps each thread's rows in blocks of at most
 _MARCH_BLOCK_BYTES, dispatching on the scheme at each step. The same loop
 records each failed row's step and cause, sets the row to NaN and stops
 stepping it, and writes the block into one preallocated snapshot array. It
-keeps each block's last two midpoint rates for the starts. evolve is its
-one-row case.
+keeps each block's last _START_RATES midpoint rates for the starts. evolve is
+its one-row case.
 """
 
 from __future__ import annotations
@@ -57,6 +58,12 @@ _MAX_STEPS = 2.0**53
 # steps at once; a step's temporaries are a few times this, whatever the
 # ensemble size (the drift's own chunk budgets bound the rest)
 _MARCH_BLOCK_BYTES = 1 << 18
+
+# how many past midpoint rates each block keeps to extrapolate its starts; of
+# 2 and 4..8, 8 took the fewest drift rows per member step in every case
+# measured but 16 rows at dt 1e-3 (1.08 against 1.03 for 5..7), and had the
+# lowest median energy and enstrophy drift over 16 rows (BENCH_24.json)
+_START_RATES = 8
 
 
 @dataclass(frozen=True)
@@ -325,20 +332,19 @@ def _midpoint_step(
     return stepped, stalled
 
 
-def _extrapolated_start(
-    coeffs: np.ndarray, h: float, rate: np.ndarray, previous: np.ndarray | None
-) -> np.ndarray:
+def _extrapolated_start(coeffs: np.ndarray, h: float, rates: Sequence[np.ndarray]) -> np.ndarray:
     """The midpoint start coeffs + (h/2) r from the rates of the last steps.
 
-    r is rate, the last step's (c_{n+1} - c_n) / h, or with previous, the
-    rate before it, the linear extrapolation 2 rate - previous.
+    rates holds the last q + 1 rates r_n, r_{n-1}, ... of (c_{n+1} - c_n) / h,
+    newest first, and r extrapolates the degree-q polynomial through them one
+    step on: r = sum_j (-1)^j C(q + 1, j + 1) r_{n-j}. One rate gives
+    (h/2) r_n and two give (h/2)(2 r_n - r_{n-1}), each summed in that order.
     """
-    if previous is None:
-        start = np.multiply(0.5 * h, rate)
-    else:
-        start = np.multiply(2.0, rate)
-        start -= previous
-        start *= 0.5 * h
+    q = len(rates) - 1
+    start = np.multiply(float(q + 1), rates[0])
+    for j, rate in enumerate(rates[1:], 1):
+        start += (-1) ** j * math.comb(q + 1, j + 1) * rate
+    start *= 0.5 * h
     return np.add(coeffs, start, out=start)
 
 
@@ -427,8 +433,9 @@ def evolve_coeffs(
             stop = min(start + block, hi)
             current = coeffs[start:stop].copy()
             alive = np.arange(current.shape[0])
-            # the block's last two midpoint rates (c_{n+1} - c_n) / h, newest first
-            rate = previous = None
+            # the block's last _START_RATES midpoint rates (c_{n+1} - c_n) / h,
+            # newest first; once all are held, the oldest array takes the newest
+            rates: list[np.ndarray] = []
             for index, h in enumerate(steps):
                 # while every row is alive the block is stepped whole and the
                 # stepped block replaces it, so no rows are copied out and back
@@ -440,16 +447,15 @@ def evolve_coeffs(
                 else:
                     rows = slice(None) if whole else alive
                     guess = None
-                    if rate is not None:
-                        older = None if previous is None else previous[rows]
-                        guess = _extrapolated_start(live, h, rate[rows], older)
+                    if rates:
+                        guess = _extrapolated_start(live, h, [r[rows] for r in rates])
                     stepped, stalled = _midpoint_step(live, h, period, cutoff, cfg, guess)
                     del guess  # it holds the stepped rows, released with them below
                     if index < last:
-                        rate, previous = previous, rate
-                        if rate is None:
-                            rate = np.empty_like(current)
+                        full = len(rates) == _START_RATES
+                        rate = rates.pop() if full else np.empty_like(current)
                         rate[rows] = (stepped - live) / h
+                        rates.insert(0, rate)
                 failed = stalled | ~np.isfinite(stepped).all(axis=1)
                 if whole:
                     current = stepped

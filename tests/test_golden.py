@@ -1,18 +1,25 @@
-"""Golden determinism hashes: every subcommand at a small config reproduces the
-payload bytes recorded in golden_hashes.json.
+"""Golden determinism hashes and payload values: every subcommand at a small
+config reproduces the payload bytes recorded in golden_hashes.json, and the
+manifest measurements recorded in golden_values.json.
 
 A refactor that claims bitwise-identical output leaves every hash here
 unchanged, and a numeric move of even one ulp shows up as a fixture diff.
 The pooled cases run at one and two threads against the same recorded hash.
+The values say how far a declared numeric change moved the numbers: the
+measurements that sit at the solver tolerance (conservation drift, round-trip
+error) may move by ABS_BOUND, every other float by REL_BOUND of its value,
+and counts and member lists not at all.
 
     PYTHONPATH=src python tests/test_golden.py
 
-records the cases missing from the fixture and never overwrites one: if a
-recorded hash differs, it exits 1 and names the case. When a change moves
-numbers on purpose, delete the entries of the cases that moved, run the
-script to record them again, and list those cases in CHANGES.md.
+records the cases missing from either fixture and never overwrites one: if
+a recorded hash differs or a recorded value moved beyond its bound, it exits
+1 and names the case. When a change moves numbers on purpose, delete the
+entries of the cases that moved from both fixtures, run the script to record
+them again, and list those cases in CHANGES.md.
 """
 
+import functools
 import json
 import sys
 import tempfile
@@ -23,7 +30,22 @@ import pytest
 from eulergibbs.cli import EXIT_PASS, EXIT_VERDICT, main
 
 GOLDEN = Path(__file__).with_name("golden_hashes.json")
+VALUES = Path(__file__).with_name("golden_values.json")
 SEED = 1
+
+# measurements at the level of the implicit-midpoint tolerance (1e-12 per step
+# by default), which a change of the fixed-point solve moves by whole factors
+TOLERANCE_LEVEL = frozenset(
+    {
+        "energy_drift",
+        "enstrophy_drift",
+        "energy_drift_max",
+        "enstrophy_drift_max",
+        "round_trip_error",
+    }
+)
+ABS_BOUND = 1e-10
+REL_BOUND = 1e-8
 
 # name -> (subcommand argv, thread counts that must all give the recorded hash)
 CASES = {
@@ -162,36 +184,97 @@ CASES = {
 }
 
 
-def determinism_hash(argv: list[str], threads: int, out: Path) -> str:
-    code = main([*argv, "--seed", str(SEED), "--threads", str(threads), "--out", str(out)])
-    assert code in (EXIT_PASS, EXIT_VERDICT), f"{argv} exited {code}"
-    return json.loads((out / "manifest.json").read_text())["determinism_hash"]
+@functools.cache
+def run_case(name: str, threads: int) -> tuple[str, dict]:
+    """The determinism hash and manifest measurements of one case, run once."""
+    with tempfile.TemporaryDirectory() as out:
+        argv = [*CASES[name][0], "--seed", str(SEED), "--threads", str(threads), "--out", out]
+        code = main(argv)
+        assert code in (EXIT_PASS, EXIT_VERDICT), f"{name} exited {code}"
+        manifest = json.loads((Path(out) / "manifest.json").read_text())
+    return manifest["determinism_hash"], manifest["measurements"]
+
+
+def moved_values(recorded: dict, measured: dict) -> list[str]:
+    """Each measurement beyond its bound, as 'key: recorded -> measured'."""
+
+    def within(key: str, old, new) -> bool:
+        if isinstance(old, list):
+            return (
+                isinstance(new, list)
+                and len(new) == len(old)
+                and all(within(key, a, b) for a, b in zip(old, new))
+            )
+        if isinstance(old, float) and isinstance(new, float):
+            bound = ABS_BOUND if key in TOLERANCE_LEVEL else REL_BOUND * abs(old)
+            return abs(new - old) <= bound
+        return new == old
+
+    keys = sorted(set(recorded) | set(measured))
+    return [
+        f"{key}: {recorded.get(key)!r} -> {measured.get(key)!r}"
+        for key in keys
+        if not within(key, recorded.get(key), measured.get(key))
+    ]
 
 
 @pytest.mark.parametrize(
     "name,threads",
     [(name, threads) for name, (_, counts) in CASES.items() for threads in counts],
 )
-def test_determinism_hash_is_golden(name, threads, tmp_path):
+def test_determinism_hash_is_golden(name, threads):
     expected = json.loads(GOLDEN.read_text())[name]
-    assert determinism_hash(CASES[name][0], threads, tmp_path) == expected
+    assert run_case(name, threads)[0] == expected
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_measurements_are_golden(name):
+    expected = json.loads(VALUES.read_text())[name]
+    assert moved_values(expected, run_case(name, 1)[1]) == []
+
+
+def test_within_bound_and_beyond():
+    recorded = {"energy_drift": 1e-13, "marginal_pass_rate": 0.5, "surviving": 98,
+                "failed_members": [70, 98], "median_ratios": [2.0, None]}
+    assert moved_values(recorded, dict(recorded, energy_drift=9e-11)) == []
+    assert moved_values(recorded, dict(recorded, marginal_pass_rate=0.5 * (1 + 1e-9))) == []
+    for key, value in (
+        ("energy_drift", 2e-10),
+        ("marginal_pass_rate", 0.5 * (1 + 1e-7)),
+        ("surviving", 97),
+        ("failed_members", [70]),
+        ("median_ratios", [2.0, 1.0]),
+    ):
+        assert moved_values(recorded, dict(recorded, **{key: value})) == [
+            f"{key}: {recorded[key]!r} -> {value!r}"
+        ]
+    assert moved_values(recorded, {k: v for k, v in recorded.items() if k != "surviving"}) == [
+        "surviving: 98 -> None"
+    ]
 
 
 def test_fixture_covers_every_case():
     assert set(json.loads(GOLDEN.read_text())) == set(CASES)
+    assert set(json.loads(VALUES.read_text())) == set(CASES)
 
 
 if __name__ == "__main__":
-    recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    hashes, moved = dict(recorded), []
-    for name, (argv, _) in CASES.items():
-        with tempfile.TemporaryDirectory() as out:
-            value = determinism_hash(argv, 1, Path(out))
-        if name not in recorded:
-            hashes[name] = value
-        elif recorded[name] != value:
-            moved.append(name)
+    fixtures = [
+        (path, json.loads(path.read_text()) if path.exists() else {}) for path in (GOLDEN, VALUES)
+    ]
+    (_, hashes), (_, values) = fixtures
+    moved = []
+    for name in CASES:
+        digest, measured = run_case(name, 1)
+        if name in hashes and hashes[name] != digest:
+            moved.append(f"{name} (hash)")
+        changes = moved_values(values[name], measured) if name in values else []
+        if changes:
+            moved.append(f"{name} ({'; '.join(changes)})")
+        hashes.setdefault(name, digest)
+        values.setdefault(name, measured)
     if moved:
-        sys.exit(f"recorded hashes differ, fixture left as it is: {', '.join(moved)}")
-    GOLDEN.write_text(json.dumps(hashes, indent=2, sort_keys=True) + "\n")
+        sys.exit("recorded entries differ, fixtures left as they are:\n" + "\n".join(moved))
+    for path, recorded in fixtures:
+        path.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
     sys.stdout.write(GOLDEN.read_text())
