@@ -31,7 +31,6 @@ import csv
 import hashlib
 import inspect
 import io
-import itertools
 import json
 import math
 import sys
@@ -67,7 +66,7 @@ from .harness import (
     moment_scan,
     run_invariance,
 )
-from .spectral import FIELD_SCHEMA, SpectralField, TWO_PI, mode_box, sobolev_norm
+from .spectral import FIELD_SCHEMA, TWO_PI, SpectralField, _field_record, mode_box, sobolev_norm
 
 MANIFEST_SCHEMA = "manifest.v1"
 
@@ -374,58 +373,32 @@ def _jsonable(value):
     return value
 
 
-_PLAIN_SCALARS = frozenset((str, int, float, bool, type(None)))
-_SEQUENCES = frozenset((list, tuple))
-
-
-def _str_keys(value) -> bool:
-    """True if no dict inside value has a key other than a str."""
-    if isinstance(value, dict):
-        return all(type(k) is str for k in value) and all(map(_str_keys, value.values()))
-    if isinstance(value, (list, tuple)):
-        kinds = set(map(type, value))
-        if kinds <= _PLAIN_SCALARS:
-            return True
-        if kinds <= _SEQUENCES:
-            # a list of rows is checked as one flat list, not row by row
-            return _str_keys(list(itertools.chain.from_iterable(value)))
-        return all(map(_str_keys, value))
-    return True
-
-
-def _dumps(value, indent: int | None = None, built: bool = False) -> str:
-    """json.dumps of _jsonable(value), without the walk when it changes nothing.
-
-    Strict json.dumps raises on non-finite floats and numpy integers, and
-    non-str keys would sort before their conversion; only those take the walk.
-    built=True vouches that value was built fresh from str keys, so the keys
-    are not looked at, and that no container sits in it twice, so neither is
-    a cycle.
-    """
-    if built or _str_keys(value):
-        try:
-            return json.dumps(
-                value, indent=indent, sort_keys=True, allow_nan=False, check_circular=not built
-            )
-        except (TypeError, ValueError):
-            pass
-    return json.dumps(_jsonable(value), indent=indent, sort_keys=True)
+def _dumps(value, indent: int | None = None) -> str:
+    """json.dumps of _jsonable(value). Payloads are trees built with str keys and
+    no cycle, so only one holding a non-finite float or a numpy scalar other than
+    float64 (strict json.dumps raises on either) takes the walk."""
+    try:
+        return json.dumps(
+            value, indent=indent, sort_keys=True, allow_nan=False, check_circular=False
+        )
+    except (TypeError, ValueError):
+        return json.dumps(_jsonable(value), indent=indent, sort_keys=True, check_circular=False)
 
 
 def _json_bytes(payload: dict) -> bytes:
     return (_dumps(payload, indent=2) + "\n").encode()
 
 
-def _jsonl_bytes(record: dict, built: bool = False) -> bytes:
+def _jsonl_bytes(record: dict) -> bytes:
     """One JSONL line. JSONL payloads are generators of these, each encoded
-    when the writer asks for it, so no more than one record is held as text.
-    built is passed on to _dumps."""
-    return (_dumps(record, built=built) + "\n").encode()
+    when the writer asks for it, so no more than one record is held as text."""
+    return (_dumps(record) + "\n").encode()
 
 
-def _csv_bytes(fieldnames: Sequence[str], rows: Sequence[dict]) -> bytes:
+def _csv_bytes(rows: Sequence[dict]) -> bytes:
+    """A CSV whose header is the keys of the first row."""
     buffer = io.StringIO(newline="")
-    writer = csv.DictWriter(buffer, fieldnames=list(fieldnames), lineterminator="\n")
+    writer = csv.DictWriter(buffer, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
@@ -444,7 +417,7 @@ def _report_csv(rows: Sequence) -> bytes:
             else:
                 record[f.name] = value
         records.append(record)
-    return _csv_bytes(list(records[0]), records)
+    return _csv_bytes(records)
 
 
 @dataclass
@@ -487,7 +460,7 @@ def _cmd_sample(config: dict, rng: RngStream, threads: int) -> CommandResult:
     p = _from_config(GibbsParams, config)
     matrix = _from_config(sample_coeff_matrix, config, p=p, rng=rng)
     records = (
-        {"index": index, "field": SpectralField(p.period, p.cutoff, row).to_record()}
+        {"index": index, "field": _field_record(p.period, p.cutoff, row)}
         for index, row in enumerate(matrix)
     )
 
@@ -512,8 +485,8 @@ def _cmd_sample(config: dict, rng: RngStream, threads: int) -> CommandResult:
 
     return CommandResult(
         outputs={
-            "ensemble.jsonl": (_jsonl_bytes(record, built=True) for record in records),
-            "per_mode_stats.csv": _csv_bytes(list(stats_rows[0]), stats_rows),
+            "ensemble.jsonl": map(_jsonl_bytes, records),
+            "per_mode_stats.csv": _csv_bytes(stats_rows),
         },
         schemas={"ensemble": ENSEMBLE_SCHEMA, "field": FIELD_SCHEMA},
         measurements={
@@ -569,11 +542,7 @@ def _cmd_evolve(config: ResolvedConfig, rng: RngStream, threads: int) -> Command
         verdicts["round_trip_return"] = error <= config["round_trip_tol"]
 
     return CommandResult(
-        outputs={
-            "trajectory.jsonl": (
-                _jsonl_bytes(record, built=True) for record in trajectory.iter_records()
-            )
-        },
+        outputs={"trajectory.jsonl": map(_jsonl_bytes, trajectory.iter_records())},
         verdicts=verdicts,
         schemas={"trajectory": TRAJECTORY_SCHEMA, "field": FIELD_SCHEMA},
         measurements=measurements,
@@ -614,7 +583,10 @@ def _cmd_moments(config: dict, rng: RngStream, threads: int) -> CommandResult:
         cutoffs=ladder,
         threads=threads,
     )
-    result = _report_result(report, report.rows, {})
+    measurements = {
+        f"means[beta={s.order:g},q={s.exponent:g}]": list(s.means) for s in report.series
+    }
+    result = _report_result(report, report.rows, measurements)
     result.notes = [f"divergence signature: {label}" for label in report.divergence_signature]
     return result
 

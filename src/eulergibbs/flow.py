@@ -44,7 +44,15 @@ from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 import numpy as np
 
 from .drift import PSEUDO_SPECTRAL, TRIAD_SUM, drift_batch
-from .spectral import Mode, SpectralField, _field_record, _weighted_power, energy, enstrophy
+from .spectral import (
+    Mode,
+    SpectralField,
+    _as_int,
+    _field_record,
+    _weighted_power,
+    energy,
+    enstrophy,
+)
 
 SCHEMES = ("rk4", "implicit_midpoint")
 
@@ -92,16 +100,18 @@ class IntegratorConfig:
             raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if not math.isfinite(self.t_final):
             raise ValueError(f"t_final must be finite, got {self.t_final!r}")
-        if int(self.snapshot_stride) < 0:
+        stride = _as_int(self.snapshot_stride, "snapshot_stride")
+        if stride < 0:
             raise ValueError(f"snapshot_stride must be >= 0, got {self.snapshot_stride!r}")
-        object.__setattr__(self, "snapshot_stride", int(self.snapshot_stride))
+        object.__setattr__(self, "snapshot_stride", stride)
         if not self.fixed_point_tol > 0.0:
             raise ValueError(f"fixed_point_tol must be positive, got {self.fixed_point_tol!r}")
-        if int(self.max_fixed_point_iters) < 1:
+        iters = _as_int(self.max_fixed_point_iters, "max_fixed_point_iters")
+        if iters < 1:
             raise ValueError(
                 f"max_fixed_point_iters must be >= 1, got {self.max_fixed_point_iters!r}"
             )
-        object.__setattr__(self, "max_fixed_point_iters", int(self.max_fixed_point_iters))
+        object.__setattr__(self, "max_fixed_point_iters", iters)
         if self.drift_method not in (TRIAD_SUM, PSEUDO_SPECTRAL):
             raise ValueError(f"unknown drift_method {self.drift_method!r}")
         if abs(self.t_final) / self.dt > _MAX_STEPS:

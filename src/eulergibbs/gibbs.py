@@ -43,6 +43,7 @@ from .spectral import (
     Mode,
     SpectralField,
     TWO_PI,
+    _as_int,
     _box_slots,
     _check_cutoff,
     enstrophy,
@@ -81,7 +82,7 @@ class RngStream:
     def __post_init__(self) -> None:
         # the generator keys on 64-bit words, so a value outside would alias one inside
         for name in ("master_seed", "stream_id"):
-            value = int(getattr(self, name))
+            value = _as_int(getattr(self, name), name)
             if not 0 <= value <= _U64:
                 raise ValueError(f"{name} must be in 0 .. 2^64 - 1, got {value}")
             object.__setattr__(self, name, value)

@@ -69,9 +69,19 @@ def is_positive(k: Sequence[int]) -> bool:
     return k1 > 0 or (k1 == 0 and k2 > 0)
 
 
+def _as_int(value, name: str) -> int:
+    """value as an int; a fractional or non-numeric value is an error, never truncated."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_cutoff(cutoff: Sequence[int]) -> Mode:
     try:
-        n1, n2 = int(cutoff[0]), int(cutoff[1])
+        n1, n2 = _as_int(cutoff[0], "cutoff[0]"), _as_int(cutoff[1], "cutoff[1]")
     except (TypeError, IndexError) as exc:
         raise ValueError(f"cutoff must be a pair of integers, got {cutoff!r}") from exc
     if n1 < 1 or n2 < 1:

@@ -270,9 +270,7 @@ class TestJsonOutput:
         {"x": [float("nan"), float("inf"), -float("inf"), 1.5, -0.0]},
         {"a": np.float64(0.1), "b": np.int64(3), "c": np.float32(0.25), "d": np.float64("nan")},
         {"t": (1, (2.5, "s"), ()), "n": None, "ok": True, "big": 10**30},
-        {10: "ten", 9: "nine"},
         {"outer": {True: 1, None: 2, 1.5: 3}},
-        {"rows": [[1, 2, 0.5, np.int64(7)], [3, {2: "x", 10: "y"}]]},
         SpectralField(2.5, (2, 3), np.linspace(-1, 1, mode_count((2, 3))) * (1 - 2j)).to_record(),
     ]
 
@@ -283,11 +281,43 @@ class TestJsonOutput:
             indented = json.dumps(_jsonable(row), indent=2, sort_keys=True)
             assert _json_bytes(row) == (indented + "\n").encode()
         assert b"null" in _jsonl_bytes(self.ROWS[0])
-        assert _jsonl_bytes(self.ROWS[3]) == b'{"10": "ten", "9": "nine"}\n'
 
-    def test_a_built_record_skips_the_key_walk_for_the_same_bytes(self):
-        for row in (self.ROWS[0], self.ROWS[1], self.ROWS[2], self.ROWS[6]):
-            assert _jsonl_bytes(row, built=True) == _jsonl_bytes(row)
+    # every subcommand at a small config; a delta of 0 gives continuity a NaN ratio
+    RUNS = {
+        "sample": ["--set", "count=3"],
+        "evolve": ["--set", "dt=0.01", "--set", "t_final=0.03", "--set", "snapshot_stride=1"],
+        "invariance": ["--set", "ensemble=100", "--set", "dt=0.01", "--set", "t_final=0.02"],
+        "moments": ["--set", "cutoffs=3,4", "--set", "ensemble=4"],
+        "cauchy": ["--set", "levels=2,3", "--set", "ensemble=4"],
+        "continuity": [
+            "--set", "ensemble=4",
+            "--set", "dt=0.05",
+            "--set", "t_final=0.1",
+            "--set", "deltas=0.1,0",
+        ],
+    }
+
+    @pytest.mark.parametrize("subcommand", list(RUNS))
+    def test_every_payload_encodes_as_the_jsonable_walk(self, subcommand, tmp_path, monkeypatch):
+        dumps, strict = cli._dumps, []
+
+        def checked(value, indent=None):
+            text = dumps(value, indent)
+            assert text == json.dumps(_jsonable(value), indent=indent, sort_keys=True)
+            try:
+                json.dumps(value, allow_nan=False)
+                strict.append(True)
+            except (TypeError, ValueError):
+                strict.append(False)
+            return text
+
+        monkeypatch.setattr(cli, "_dumps", checked)
+        argv = [subcommand, *self.RUNS[subcommand], "--seed", "1", "--out", str(tmp_path)]
+        assert main(argv) in (EXIT_PASS, EXIT_VERDICT)
+        # the manifest, plus at least one output
+        assert len(strict) >= 2
+        if subcommand == "continuity":
+            assert not all(strict), "the NaN ratio should take the _jsonable fallback"
 
 
 class TestStreamingWriter:

@@ -62,6 +62,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             IntegratorConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["snapshot_stride", "max_fixed_point_iters"])
+    def test_a_fractional_count_is_rejected_not_truncated(self, name):
+        for value in (1.7, 2.5, np.float64(3.25)):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                IntegratorConfig(**{name: value})
+        for value in (2, 2.0, np.int64(2)):
+            stored = getattr(IntegratorConfig(**{name: value}), name)
+            assert stored == 2 and type(stored) is int
+
 
 class TestStepPlan:
     @pytest.mark.parametrize(

@@ -181,6 +181,18 @@ class TestStreamKeys:
             with pytest.raises(ValueError, match=name):
                 RngStream(**{"master_seed": 1, name: value})
 
+    @pytest.mark.parametrize("name", ["master_seed", "stream_id"])
+    def test_a_fractional_seed_or_stream_id_is_rejected_not_truncated(self, name):
+        for value in (1.5, np.float64(1.9), 2.000001):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                RngStream(**{"master_seed": 1, name: value})
+        for value in (2, 2.0, np.int64(2), np.float64(2.0)):
+            assert getattr(RngStream(**{"master_seed": 1, name: value}), name) == 2
+        assert np.array_equal(
+            sample_coeff_matrix(TestCounterRange.P, RngStream(2.0, np.int64(3)), 2),
+            sample_coeff_matrix(TestCounterRange.P, RngStream(2, 3), 2),
+        )
+
 
 class TestSamplerMemory:
     def test_peak_bounded_by_output(self):
@@ -237,6 +249,13 @@ class TestVarianceOracle:
             GibbsParams(gamma=1.0, period=-1.0, cutoff=(2, 2))
         with pytest.raises(ValueError):
             GibbsParams(gamma=1.0, period=TWO_PI, cutoff=(0, 2))
+
+    def test_a_fractional_cutoff_is_rejected_not_truncated(self):
+        for cutoff in ((2.9, 3.2), (2, 3.5), (np.float64(2.5), 3)):
+            with pytest.raises(ValueError, match=r"cutoff\[\d\] must be an integer"):
+                GibbsParams(gamma=1.0, period=1.0, cutoff=cutoff)
+        for cutoff in ((2, 3), (2.0, 3.0), (np.int64(2), np.float64(3.0))):
+            assert GibbsParams(gamma=1.0, period=1.0, cutoff=cutoff).cutoff == (2, 3)
 
 
 class TestSampler:

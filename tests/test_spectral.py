@@ -82,6 +82,15 @@ class TestFieldConstruction:
         with pytest.raises(ValueError):
             SpectralField(TWO_PI, (2, 2), np.zeros(3, dtype=complex))
 
+    def test_a_fractional_cutoff_is_rejected_not_truncated(self):
+        for cutoff in ((2.9, 3.2), (2, 3.5), ("2", 3)):
+            with pytest.raises(ValueError, match=r"cutoff\[\d\] must be an integer"):
+                SpectralField.zeros(TWO_PI, cutoff)
+            with pytest.raises(ValueError, match=r"cutoff\[\d\] must be an integer"):
+                mode_count(cutoff)
+        f = SpectralField.zeros(TWO_PI, (2.0, np.int64(3)))
+        assert f.cutoff == (2, 3) and all(type(n) is int for n in f.cutoff)
+
     def test_bad_period_rejected(self):
         with pytest.raises(ValueError):
             SpectralField(0.0, (1, 1), np.zeros(4, dtype=complex))
