@@ -31,7 +31,6 @@ from .harness import (
     cauchy_scan,
     continuity_probe,
     default_observables,
-    kolmogorov_sf,
     ks_one_sample,
     ks_two_sample,
     moment_scan,
@@ -74,7 +73,6 @@ __all__ = [
     "field_covariance",
     "is_positive",
     "jacobian_trace_estimate",
-    "kolmogorov_sf",
     "ks_one_sample",
     "ks_two_sample",
     "local_distance",

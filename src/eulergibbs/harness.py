@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, is_dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaincc
+from scipy.special import gammaincc, kolmogorov
 
 from ._meta import VERSION
 from .drift import PSEUDO_SPECTRAL, drift_batch
@@ -99,30 +99,6 @@ def _inputs(schema: str, arguments: dict) -> dict:
 # test kit
 
 
-def kolmogorov_sf(x: float) -> float:
-    """Survival function Q(x) of the Kolmogorov distribution.
-
-    Alternating series for large arguments, the Jacobi theta dual for small
-    ones; accurate to ~1e-15 on both branches.
-    """
-    x = float(x)
-    if x <= 0.0:
-        return 1.0
-    if x < 1.18:
-        t = math.pi**2 / (8.0 * x * x)
-        total = sum(math.exp(-((2 * j - 1) ** 2) * t) for j in range(1, 8))
-        return min(1.0, max(0.0, 1.0 - math.sqrt(2.0 * math.pi) / x * total))
-    total = 0.0
-    sign = 1.0
-    for j in range(1, 200):
-        term = math.exp(-2.0 * j * j * x * x)
-        total += sign * term
-        sign = -sign
-        if term < 1e-18:
-            break
-    return min(1.0, max(0.0, 2.0 * total))
-
-
 @dataclass(frozen=True)
 class KsResult:
     statistic: float
@@ -147,7 +123,7 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KsResult:
     effective = a.size * b.size / (a.size + b.size)
     return KsResult(
         statistic=statistic,
-        p_value=kolmogorov_sf(math.sqrt(effective) * statistic),
+        p_value=float(kolmogorov(math.sqrt(effective) * statistic)),
         effective_size=effective,
     )
 
@@ -163,7 +139,7 @@ def ks_one_sample(values: Sequence[float], cdf: Callable[[np.ndarray], np.ndarra
     statistic = float(max(np.max(grid - theory), np.max(theory - (grid - 1.0 / n))))
     return KsResult(
         statistic=statistic,
-        p_value=kolmogorov_sf(math.sqrt(n) * statistic),
+        p_value=float(kolmogorov(math.sqrt(n) * statistic)),
         effective_size=float(n),
     )
 
@@ -627,6 +603,21 @@ def moment_scan(
 # dyadic Cauchy scan
 
 
+def _pair_distances(
+    pair: Callable[[int], tuple[SpectralField, SpectralField]],
+    count: int, order: float, level_max: int, points_per_unit: int, threads: int,
+) -> np.ndarray:
+    """local_distance(*pair(i)) for i in range(count), over row blocks."""
+
+    def block(lo: int, hi: int) -> np.ndarray:
+        out = np.empty(hi - lo, dtype=np.float64)
+        for slot, i in enumerate(range(lo, hi)):
+            out[slot] = local_distance(*pair(i), order, level_max, points_per_unit=points_per_unit)
+        return out
+
+    return np.concatenate(map_row_blocks(block, count, threads))
+
+
 @dataclass(frozen=True)
 class CauchyRow:
     level: int
@@ -702,20 +693,14 @@ def cauchy_scan(
             n, n + 1, base, stream, ensemble_size
         )
 
-        def distances(lo: int, hi: int) -> np.ndarray:
-            out = np.empty(hi - lo, dtype=np.float64)
-            for slot, i in enumerate(range(lo, hi)):
-                # the coarse field, exactly re-expressed on the fine torus
-                f = _embed(
-                    SpectralField(base.period, base.cutoff, coarse[i]), fine_params.cutoff, ratio=2
-                )
-                g = SpectralField(fine_params.period, fine_params.cutoff, fine[i])
-                out[slot] = local_distance(
-                    f, g, order, level_max, points_per_unit=points_per_unit
-                ) ** 2
-            return out
+        def pair(i: int) -> tuple[SpectralField, SpectralField]:
+            # the coarse field, exactly re-expressed on the fine torus
+            f = _embed(
+                SpectralField(base.period, base.cutoff, coarse[i]), fine_params.cutoff, ratio=2
+            )
+            return f, SpectralField(fine_params.period, fine_params.cutoff, fine[i])
 
-        sq = np.concatenate(map_row_blocks(distances, ensemble_size, threads))
+        sq = _pair_distances(pair, ensemble_size, order, level_max, points_per_unit, threads) ** 2
         mean, _, se = _column_stats(sq)
         rows.append(CauchyRow(level=n, mean_sq_distance=mean, se=se))
         # released before the next level draws, so two levels are never held
@@ -827,17 +812,14 @@ def continuity_probe(
             points_per_unit=points_per_unit,
         )
 
-        def output_distances(lo: int, hi: int) -> np.ndarray:
-            out = np.empty(hi - lo, dtype=np.float64)
-            for slot, i in enumerate(keep[lo:hi]):
-                f = zero.with_coeffs(base_evolution.coeffs[i])
-                g = zero.with_coeffs(pert_evolution.coeffs[i])
-                out[slot] = local_distance(
-                    f, g, order, level_max, points_per_unit=points_per_unit
-                )
-            return out
+        def pair(i: int) -> tuple[SpectralField, SpectralField]:
+            member = keep[i]
+            return (
+                zero.with_coeffs(base_evolution.coeffs[member]),
+                zero.with_coeffs(pert_evolution.coeffs[member]),
+            )
 
-        outputs = np.concatenate(map_row_blocks(output_distances, len(keep), threads))
+        outputs = _pair_distances(pair, len(keep), order, level_max, points_per_unit, threads)
         median_out = float(np.median(outputs))
         ratio = median_out / input_distance if input_distance > 0.0 else math.nan
         rows.append(

@@ -249,7 +249,7 @@ class SpectralField:
             try:
                 if len(row) != 4:
                     raise ValueError(f"expected [k1, k2, re, im], got {len(row)} entries")
-                mode = (int(row[0]), int(row[1]))
+                mode = (_as_int(row[0], "k1"), _as_int(row[1], "k2"))
                 value = complex(float(row[2]), float(row[3]))
             except (TypeError, ValueError, LookupError, OverflowError) as exc:
                 raise ValueError(f"malformed coefficient row {row!r} at slot {i}: {exc}") from exc

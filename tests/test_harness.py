@@ -18,17 +18,17 @@ from scipy.stats import ks_2samp, kstest
 
 from eulergibbs.cli import _json_bytes
 from eulergibbs.drift import PSEUDO_SPECTRAL, TRIAD_SUM
-from eulergibbs.flow import IntegrationError, IntegratorConfig, map_row_blocks
+from eulergibbs.flow import IntegrationError, IntegratorConfig
 from eulergibbs.gibbs import GibbsParams, RngStream, coupled_dyadic_matrices
 from eulergibbs.harness import (
     ObservableSpec,
     _child,
+    _pair_distances,
     _perturbation_direction,
     cauchy_scan,
     chi_square_uniform,
     continuity_probe,
     default_observables,
-    kolmogorov_sf,
     ks_one_sample,
     ks_two_sample,
     moment_scan,
@@ -50,28 +50,6 @@ from eulergibbs.spectral import (
 TWO_PI = 2.0 * math.pi
 
 
-class TestKolmogorovSf:
-    def test_nonpositive_arguments_saturate(self):
-        assert kolmogorov_sf(0.0) == 1.0
-        assert kolmogorov_sf(-3.0) == 1.0
-
-    def test_tail_is_tiny(self):
-        assert kolmogorov_sf(5.0) < 1e-20
-
-    def test_matches_scipy_on_both_branches(self):
-        grid = np.concatenate(
-            [np.linspace(0.01, 3.0, 301), np.array([1.17, 1.18, 1.19])]
-        )
-        ours = np.array([kolmogorov_sf(x) for x in grid])
-        reference = scipy_kolmogorov(grid)
-        assert np.max(np.abs(ours - reference)) < 1e-12
-
-    def test_monotone_decreasing(self):
-        grid = np.linspace(0.0, 4.0, 400)
-        values = [kolmogorov_sf(x) for x in grid]
-        assert all(a >= b for a, b in zip(values, values[1:]))
-
-
 class TestKsTwoSample:
     def test_identical_samples(self):
         result = ks_two_sample([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
@@ -87,7 +65,7 @@ class TestKsTwoSample:
         result = ks_two_sample([1, 2, 3, 4], [1.5, 2.5, 3.5, 4.5])
         assert result.statistic == pytest.approx(0.25, abs=0.0)
         assert result.effective_size == pytest.approx(2.0)
-        assert result.p_value == pytest.approx(kolmogorov_sf(math.sqrt(2.0) * 0.25))
+        assert result.p_value == float(scipy_kolmogorov(math.sqrt(2.0) * 0.25))
 
     def test_symmetric(self, rng):
         a = rng.normal(size=31)
@@ -113,9 +91,8 @@ class TestKsTwoSample:
         ours = ks_two_sample(a, b)
         reference = ks_2samp(a, b, method="asymp")
         assert ours.statistic == pytest.approx(reference.statistic, rel=1e-12)
-        assert ours.p_value == pytest.approx(
-            float(scipy_kolmogorov(math.sqrt(ours.effective_size) * ours.statistic)),
-            rel=1e-12,
+        assert ours.p_value == float(
+            scipy_kolmogorov(math.sqrt(ours.effective_size) * ours.statistic)
         )
 
     def test_p_value_calibrated_against_exact_method(self, rng):
@@ -638,12 +615,16 @@ class TestCauchyScan:
     def test_pair_distance_same_alone_or_in_block(self):
         pairs = [(_embed(c, f.cutoff, ratio=2), f) for c, f in self.coupled_pairs(2, 9)]
         alone = np.array([local_distance(f, g, -1.5, 4) for f, g in reversed(pairs)])[::-1]
+        for threads in (1, 2, 3):
+            pooled = _pair_distances(pairs.__getitem__, len(pairs), -1.5, 4, 64, threads)
+            assert np.array_equal(alone, pooled)
 
-        def block(lo: int, hi: int) -> np.ndarray:
-            return np.array([local_distance(*pairs[i], -1.5, 4) for i in range(lo, hi)])
-
-        pooled = np.concatenate(map_row_blocks(block, len(pairs), 3))
-        assert np.array_equal(alone, pooled)
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_local_distance_per_level_and_member(self, local_distance_calls, threads):
+        cauchy_scan(
+            [1, 2], -1.5, 5, RngStream(16, 4), level_max=2, points_per_unit=8, threads=threads
+        )
+        assert local_distance_calls == [(SpectralField, SpectralField)] * (2 * 5)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="order"):
@@ -773,12 +754,42 @@ class TestContinuityProbe:
             "within 1 iterations at step 0 (t = 0.5)"
         )
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_local_distance_per_survivor_and_input(self, local_distance_calls, threads):
+        # 4 of the 6 members stall, so a delta's row covers the 2 survivors
+        p = GibbsParams(gamma=0.2, period=TWO_PI, cutoff=(4, 4))
+        cfg = IntegratorConfig(
+            scheme="implicit_midpoint", dt=0.02, t_final=0.04, max_fixed_point_iters=8
+        )
+        report = continuity_probe(
+            p, cfg, [0.0, 1e-2, 1e-1], 6, RngStream(1), level_max=2, points_per_unit=8,
+            threads=threads,
+        )
+        assert [row.surviving for row in report.rows] == [2, 2, 2]
+        assert local_distance_calls == [(SpectralField, SpectralField)] * (3 * (2 + 1))
+
     @pytest.mark.parametrize("deltas", [[0.1, 0.1], [0.0, -0.0, 0.1], [0.1, 0.01, 0.1]])
     def test_repeated_deltas_are_rejected(self, deltas):
         # the two smallest positive deltas would be one, so their ratios agree by construction
         cfg = IntegratorConfig(scheme="rk4", dt=0.05, t_final=0.1)
         with pytest.raises(ValueError, match="deltas must be pairwise distinct"):
             continuity_probe(self.params(), cfg, deltas, 8, RngStream(1))
+
+
+@pytest.fixture
+def local_distance_calls(monkeypatch):
+    """The argument types of each call to the harness's local_distance, the
+    name perfbench/tracer.py wraps to count metric pairs."""
+    harness_module = importlib.import_module("eulergibbs.harness")
+    real = harness_module.local_distance
+    calls = []
+
+    def counted(f, g, *args, **kwargs):
+        calls.append((type(f), type(g)))
+        return real(f, g, *args, **kwargs)
+
+    monkeypatch.setattr(harness_module, "local_distance", counted)
+    return calls
 
 
 @pytest.fixture(scope="module")

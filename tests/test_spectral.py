@@ -464,6 +464,7 @@ class TestSerialization:
             [None, 1, 0.0, 0.0],
             [float("inf"), 1, 0.0, 0.0],
             [0, 1, 0.0, 0.0, 0.0],
+            [0.5, 1.9, 1.0, 0.0],
         ],
     )
     def test_record_rejects_malformed_rows(self, row):
